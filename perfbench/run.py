@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 perfbench/run.py --workload sweep_serial --seed 2016 \\
-        --seconds 16 --trace 0
+        --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of BENCHMARK.json, measured
 with tracing off; ``--trace 1`` prints the per-layer metrics from a
@@ -35,7 +35,7 @@ WORKLOADS = ("sweep_serial", "sweep_parallel", "population_fluid",
              "campaign_explain", "lint_tree")
 #: Set-up is sampled in this many fresh interpreters besides the
 #: measured one; ``setup_s`` is the median.
-SETUP_PROBES = 2
+SETUP_PROBES = 4
 #: Per-phase limit, so a hung phase cannot outlive the 180 s run budget.
 PHASE_TIMEOUT_S = 150
 
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=2016)
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "tiny"), default="full",
                         help="tiny is the self-test's scale")

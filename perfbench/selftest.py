@@ -92,7 +92,7 @@ def record() -> int:
     for scale in ("tiny", "full"):
         for workload in WORKLOADS:
             code, result = bench(workload, scale=scale, reference=empty,
-                                 seconds=1 if scale == "tiny" else 16)
+                                 seconds=1 if scale == "tiny" else 20)
             if code != 0 or result is None or not result["correct"]:
                 print(f"{workload} {scale} failed: {result}")
                 return 1
