@@ -627,8 +627,9 @@ class ViewingSession:
         telemetry = obs.active()
         if telemetry.enabled and telemetry.health_on:
             health = telemetry.health
+            ok = qoe.consistent()
             health.check(
-                "qoe.consistent", qoe.consistent(),
+                "qoe.consistent", ok, "" if ok else
                 f"{qoe.broadcast_id}: join {qoe.join_time_s:.3f} + "
                 f"playback {qoe.playback_s:.3f} + stall "
                 f"{qoe.total_stall_s:.3f} != watch {qoe.watch_seconds:.3f}",
@@ -638,15 +639,16 @@ class ViewingSession:
                 # Three API calls per session, each bounded by the
                 # shared retry budget (the test_properties bound).
                 budget = 3 * plan.retry.max_attempts
+                ok = qoe.api_retries <= budget
                 health.check(
-                    "session.retries_bounded",
-                    qoe.api_retries <= budget,
+                    "session.retries_bounded", ok, "" if ok else
                     f"{qoe.broadcast_id}: {qoe.api_retries} API retries "
                     f"over budget {budget}",
                 )
             else:
+                ok = qoe.api_retries == 0
                 health.check(
-                    "session.retries_bounded", qoe.api_retries == 0,
+                    "session.retries_bounded", ok, "" if ok else
                     f"{qoe.broadcast_id}: {qoe.api_retries} API retries "
                     f"without a fault plan",
                 )

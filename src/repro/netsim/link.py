@@ -11,6 +11,7 @@ used on the tethering host to impose artificial bandwidth limits.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -18,6 +19,12 @@ from repro import obs
 from repro.faults.impair import LinkImpairment
 from repro.netsim.events import EventLoop
 from repro.netsim.packet import Packet
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+
+#: Rounding slack of the O(1) utilization bound: far above the
+#: accumulated float error of ``_gap_total`` and the gap rescan at
+#: simulated horizons, so a passing bound implies a passing exact check.
+_GAP_BOUND_EPS = 1e-9
 
 PacketSink = Callable[[Packet], None]
 PacketTap = Callable[[Packet, float], None]
@@ -76,6 +83,19 @@ class Link:
         #: end and the deferred start, yet ``_busy_until`` spans the gap.
         #: Gaps wholly in the past are pruned as they expire.
         self._gaps: Deque[Tuple[float, float]] = deque()
+        #: Running sum of the lengths of the gaps in ``_gaps``, so the
+        #: per-packet health check can bound pending work in O(1).
+        self._gap_total = 0.0
+        #: Per-packet metric children, bound on the first metered packet
+        #: to the registry ``_metrics_ref`` points at and rebound whenever
+        #: the active registry changes.  The reference is weak and drops
+        #: the children when the registry dies: a finished session's
+        #: links wait for the cyclic collector, and must not keep the
+        #: run's histograms alive until then.
+        self._metrics_ref: Optional["weakref.ref[MetricsRegistry]"] = None
+        self._packets_metric: Counter
+        self._bytes_metric: Counter
+        self._queue_delay_metric: Histogram
         self._taps: List[PacketTap] = []
         self.bytes_carried = 0
         self.packets_carried = 0
@@ -88,6 +108,16 @@ class Link:
         """Remove a previously registered observer."""
         self._taps.remove(observer)
 
+    def _prune_gaps(self, now: float) -> None:
+        """Drop the gaps that ended by ``now``, keeping ``_gap_total``
+        their running sum (reset to exactly 0 once none are left)."""
+        gaps = self._gaps
+        while gaps and gaps[0][1] <= now:
+            gap_start, gap_end = gaps.popleft()
+            self._gap_total -= gap_end - gap_start
+        if not gaps:
+            self._gap_total = 0.0
+
     def _pending_tx_time(self, now: float) -> float:
         """Transmission work still ahead of the wire at ``now``.
 
@@ -97,18 +127,36 @@ class Link:
         overstates pending work.
         """
         pending = self._busy_until - now
-        gaps = self._gaps
+        self._prune_gaps(now)
         if pending <= 0.0:
-            if gaps:
-                gaps.clear()
             return 0.0
-        while gaps and gaps[0][1] <= now:
-            gaps.popleft()
-        for gap_start, gap_end in gaps:
+        for gap_start, gap_end in self._gaps:
             overlap = min(gap_end, self._busy_until) - max(gap_start, now)
             if overlap > 0.0:
                 pending -= overlap
         return max(0.0, pending)
+
+    def _utilization_check(self, now: float) -> Tuple[bool, str]:
+        """Is completed transmission within the elapsed ``now``?  Returns
+        the verdict and, only when it fails, the violation detail.
+
+        Decided in O(1) when possible: every live gap overlaps the
+        pending horizon by at most its length, so ``busy - now -
+        _gap_total`` bounds pending work from below and ``scheduled``
+        minus it bounds completed work from above.  An upper bound
+        within ``now`` (with ``_GAP_BOUND_EPS`` of rounding slack)
+        proves the exact check passes; only an inconclusive bound pays
+        for the exact rescan of the gaps.
+        """
+        self._prune_gaps(now)
+        scheduled = self._busy_time_scheduled
+        lower = self._busy_until - now - self._gap_total - _GAP_BOUND_EPS
+        if (scheduled - lower if lower > 0.0 else scheduled) <= now:
+            return True, ""
+        completed = scheduled - self._pending_tx_time(now)
+        if completed <= now + 1e-9:
+            return True, ""
+        return False, f"{self.name}: {completed:.3f}s busy in {now:.3f}s elapsed"
 
     def utilization_until_now(self) -> float:
         """Fraction of elapsed time the transmitter has been busy.
@@ -193,6 +241,7 @@ class Link:
             # across the gap stays charged to throttle/flap/jitter (it
             # was, above) rather than re-charged to link.queue.
             self._gaps.append((eligible, start))
+            self._gap_total += start - eligible
             if self._queue_charged_until < start:
                 self._queue_charged_until = start
         busy = start + tx_time
@@ -221,25 +270,16 @@ class Link:
                 causes.add("link.loss_recovery", recovery_wait)
                 self._recovery_backlog_s += recovery_wait
         if telemetry.health_on and now > 0.0:
-            completed = self._busy_time_scheduled - self._pending_tx_time(now)
-            telemetry.health.check(
-                "link.utilization_bounded", completed <= now + 1e-9,
-                f"{self.name}: {completed:.3f}s busy in {now:.3f}s elapsed",
-            )
+            ok, detail = self._utilization_check(now)
+            telemetry.health.check("link.utilization_bounded", ok, detail)
         if telemetry.metrics_on:
             metrics = telemetry.metrics
-            metrics.counter(
-                "netsim_link_packets_total", "Packets entering the link",
-                link=self.name,
-            ).inc()
-            metrics.counter(
-                "netsim_link_bytes_total", "Wire bytes entering the link",
-                link=self.name,
-            ).inc(wire_bytes)
-            metrics.histogram(
-                "netsim_link_queue_delay_seconds",
-                "Serialization-queue wait per packet", link=self.name,
-            ).observe(queue_wait)
+            ref = self._metrics_ref
+            if ref is None or ref() is not metrics:
+                self._bind_metrics(metrics)
+            self._packets_metric.inc()
+            self._bytes_metric.inc(wire_bytes)
+            self._queue_delay_metric.observe(queue_wait)
             if throttle_wait > 0.0:
                 metrics.counter(
                     "netsim_link_throttle_seconds_total",
@@ -252,6 +292,27 @@ class Link:
                     link=self.name,
                 ).inc(impair_wait)
         return arrival
+
+    def _bind_metrics(self, metrics: MetricsRegistry) -> None:
+        """Resolve the per-packet metric children once per registry."""
+        self._metrics_ref = weakref.ref(metrics, self._drop_metrics)
+        self._packets_metric = metrics.counter(
+            "netsim_link_packets_total", "Packets entering the link",
+            link=self.name,
+        )
+        self._bytes_metric = metrics.counter(
+            "netsim_link_bytes_total", "Wire bytes entering the link",
+            link=self.name,
+        )
+        self._queue_delay_metric = metrics.histogram(
+            "netsim_link_queue_delay_seconds",
+            "Serialization-queue wait per packet", link=self.name,
+        )
+
+    def _drop_metrics(self, ref: "weakref.ref[MetricsRegistry]") -> None:
+        """The bound registry died: release the children it owned."""
+        self._metrics_ref = None
+        del self._packets_metric, self._bytes_metric, self._queue_delay_metric
 
     def _arrive(self, packet: Packet) -> None:
         if self.deliver is None:

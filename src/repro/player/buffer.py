@@ -122,8 +122,9 @@ class PlayoutBuffer:
         telemetry = obs.active()
         if telemetry.enabled and telemetry.health_on and self._playing:
             gap = self._buffered_until - self._playhead(self.loop.now)
+            ok = gap >= -1e-9
             telemetry.health.check(
-                "player.buffer_nonnegative", gap >= -1e-9,
+                "player.buffer_nonnegative", ok, "" if ok else
                 f"frontier-playhead gap {gap:.6f}s at t={self.loop.now:.3f}",
             )
         if telemetry.enabled and telemetry.metrics_on:
@@ -322,14 +323,14 @@ class PlayoutBuffer:
         if telemetry.enabled and telemetry.health_on:
             total_stall = sum(s.duration for s in self._stalls)
             join = self._started_at - self.session_start
+            ok = 0.0 <= total_stall <= watch + 1e-9
             telemetry.health.check(
-                "player.stall_within_watch",
-                0.0 <= total_stall <= watch + 1e-9,
+                "player.stall_within_watch", ok, "" if ok else
                 f"stall {total_stall:.3f}s over watch {watch:.3f}s",
             )
+            ok = abs(join + playback + total_stall - watch) <= 1e-6
             telemetry.health.check(
-                "player.accounting_consistent",
-                abs(join + playback + total_stall - watch) <= 1e-6,
+                "player.accounting_consistent", ok, "" if ok else
                 f"join {join:.3f} + playback {playback:.3f} + "
                 f"stall {total_stall:.3f} != watch {watch:.3f}",
             )

@@ -1,7 +1,12 @@
 """Unit tests for links and token-bucket shaping."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.impair import FlapSchedule, LinkImpairment, LossSpec
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link, TokenBucketShaper
 from repro.netsim.packet import HEADER_BYTES, Packet
@@ -235,3 +240,203 @@ class TestDeferralGapAccounting:
         loop.run_until(4.0)
         assert link.utilization_until_now() == pytest.approx(2.0 / 4.0)
         assert not link._gaps
+
+
+# ---------------------------------------- O(1) utilization health check
+
+#: The running gap total is a float sum of appends and prunes; it must
+#: track the live gaps' exact sum to well inside the check's own 1e-9 s
+#: tolerance.
+GAP_TOTAL_TOL = 1e-9
+
+
+def reference_utilization(busy_until, scheduled, gaps, now):
+    """``utilization_until_now`` as the full gap rescan computes it."""
+    if now <= 0:
+        return 0.0
+    pending = busy_until - now
+    if pending <= 0.0:
+        pending = 0.0
+    else:
+        for gap_start, gap_end in gaps:
+            overlap = min(gap_end, busy_until) - max(gap_start, now)
+            if overlap > 0.0:
+                pending -= overlap
+        pending = max(0.0, pending)
+    return min(1.0, max(0.0, (scheduled - pending) / now))
+
+
+def exact_verdict(link, now):
+    completed = link._busy_time_scheduled - link._pending_tx_time(now)
+    return completed <= now + 1e-9
+
+
+def impaired_link(loop, seed):
+    return Link(
+        loop, rate_bps=1e6, delay_s=0.01, name="prop",
+        shaper=TokenBucketShaper(rate_bps=4e5, bucket_bytes=3000),
+        impairment=LinkImpairment(
+            random.Random(seed), loss=LossSpec(rate=0.1), jitter_s=0.004,
+            flaps=FlapSchedule([(0.2, 0.35), (0.8, 1.1)]),
+        ),
+    )
+
+
+#: Offsets of ``_busy_time_scheduled`` from "completed == now" for the
+#: probed verdicts: around the tolerance, where the O(1) bound is
+#: inconclusive and the exact rescan decides.
+PROBE_OFFSETS = (-1e-3, -1e-9, 0.0, 5e-10, 1e-9, 2e-9, 1e-3)
+
+admit_steps = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.04),  # wait before the admit
+        st.integers(min_value=40, max_value=1500),  # wire bytes
+        st.booleans(),  # probe the verdict near its boundary
+    ),
+    min_size=1, max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=admit_steps, seed=st.integers(min_value=0, max_value=2**16))
+def test_constant_time_check_matches_exact_rescan(steps, seed):
+    from repro import obs
+
+    loop = EventLoop()
+    checked = impaired_link(loop, seed)  # admitted with health on
+    plain = impaired_link(loop, seed)    # admitted with telemetry off
+    checked.deliver = plain.deliver = lambda p: None
+    fallbacks = []
+    rescan = checked._pending_tx_time
+
+    def counting_rescan(now):
+        fallbacks.append(now)
+        return rescan(now)
+
+    expected_checks = 0
+    obs.deactivate()
+    with obs.session(metrics=False, tracing=False, profiling=False,
+                     health=True) as telemetry:
+        health = telemetry.health
+        for seq, (wait, wire_bytes, probe) in enumerate(steps):
+            loop.run_until(loop.now + wait)
+            now = loop.now
+            packet = make_packet(nbytes=wire_bytes - HEADER_BYTES, seq=seq)
+            checked.send(packet)
+            expected_checks += now > 0.0
+            obs.deactivate()
+            plain.send(packet)
+            obs.activate(telemetry)
+            gaps = checked._gaps
+            assert abs(checked._gap_total - sum(
+                end - start for start, end in gaps)) <= GAP_TOTAL_TOL
+            if not gaps:
+                assert checked._gap_total == 0.0
+            if probe and now > 0.0:
+                scheduled = checked._busy_time_scheduled
+                completed_at_now = now + checked._pending_tx_time(now)
+                checked._pending_tx_time = counting_rescan
+                for offset in PROBE_OFFSETS:
+                    checked._busy_time_scheduled = completed_at_now + offset
+                    ok, detail = checked._utilization_check(now)
+                    assert ok == exact_verdict(checked, now)
+                    assert (detail == "") == ok
+                del checked._pending_tx_time
+                checked._busy_time_scheduled = scheduled
+            # The real, unprobed state always passes.
+            assert checked._utilization_check(now) == (True, "")
+            expected = reference_utilization(
+                checked._busy_until, checked._busy_time_scheduled,
+                list(checked._gaps), now)
+            assert checked.utilization_until_now() == expected
+            assert plain.utilization_until_now() == expected
+        # Every admission was checked, and the real state never failed.
+        assert health.checks_total == expected_checks
+        assert health.ok(), health.samples
+    if any(probe and wait for wait, _, probe in steps):
+        assert fallbacks  # the inconclusive branch was exercised
+    # Once the horizon has passed, the deque clears and the total is 0.
+    loop.run()
+    checked._prune_gaps(loop.now)
+    assert not checked._gaps and checked._gap_total == 0.0
+
+
+class TestUtilizationFallback:
+    """A gap straddling ``now`` makes the O(1) bound loose; near the
+    boundary it must defer to the exact rescan."""
+
+    def make_link(self, loop):
+        # Same horizon as TestDeferralGapAccounting: tx [0, 0.1], gap
+        # (0.1, 1.0), tx [1.0, 1.1], gap (1.1, 2.0), tx [2.0, 2.1].
+        link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="fb",
+                    shaper=TokenBucketShaper(rate_bps=800.0, bucket_bytes=100))
+        link.deliver = lambda p: None
+        for seq in range(3):
+            link.send(make_packet(nbytes=100 - HEADER_BYTES, seq=seq))
+        loop.run_until(0.5)
+        return link
+
+    def rescans(self, link):
+        calls = []
+        rescan = link._pending_tx_time
+        link._pending_tx_time = lambda now: calls.append(now) or rescan(now)
+        return calls
+
+    def test_loose_bound_defers_to_exact_pass(self):
+        loop = EventLoop()
+        link = self.make_link(loop)
+        assert link._gap_total == pytest.approx(1.8)
+        calls = self.rescans(link)
+        assert link._utilization_check(0.5) == (True, "")
+        assert calls == []  # 0.3 s scheduled: the bound decides
+        # Pending at 0.5 s is 0.2 s, so 0.7 s scheduled means exactly
+        # 0.5 s completed: the bound (which ignores that half of the
+        # straddling gap has elapsed) is inconclusive, the rescan passes.
+        link._busy_time_scheduled = 0.7
+        assert link._utilization_check(0.5) == (True, "")
+        assert calls == [0.5]
+
+    def test_loose_bound_defers_to_exact_failure(self):
+        loop = EventLoop()
+        link = self.make_link(loop)
+        calls = self.rescans(link)
+        link._busy_time_scheduled = 0.8
+        assert link._utilization_check(0.5) == (
+            False, "fb: 0.600s busy in 0.500s elapsed")
+        assert calls == [0.5]
+
+
+# ------------------------------------------------- cached metric handles
+
+
+def test_link_metric_handles_rebind_per_registry():
+    from repro import obs
+
+    loop = EventLoop()
+    link = Link(loop, rate_bps=8e6, delay_s=0.0, name="shared")
+    idle = Link(loop, rate_bps=8e6, delay_s=0.0, name="idle")
+    link.deliver = idle.deliver = lambda p: None
+    registries = []
+    for packets in (3, 2):
+        with obs.session(tracing=False, profiling=False) as telemetry:
+            for seq in range(packets):
+                link.send(make_packet(nbytes=500, seq=seq))
+            loop.run()
+            registries.append(telemetry.metrics)
+    for registry, packets in zip(registries, (3, 2)):
+        assert registry.get(
+            "netsim_link_packets_total", link="shared").value == packets
+        assert registry.get(
+            "netsim_link_bytes_total", link="shared").value == packets * (
+                500 + HEADER_BYTES)
+        assert registry.get(
+            "netsim_link_queue_delay_seconds", link="shared").count == packets
+        # The link that carried nothing created no child anywhere.
+        for name in ("netsim_link_packets_total", "netsim_link_bytes_total",
+                     "netsim_link_queue_delay_seconds"):
+            assert registry.get(name, link="idle") is None
+    assert registries[0] is not registries[1]
+    # Once its registry is gone the link holds none of the children.
+    del registries, registry, telemetry
+    assert link._metrics_ref is None
+    assert not hasattr(link, "_queue_delay_metric")

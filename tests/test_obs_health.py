@@ -1,12 +1,24 @@
 """Study-health invariant monitors: unit behaviour, the zero-violation
 guarantee on real (even faulted) runs, and export surfacing."""
 
+import random
+
 from repro import obs
+from repro.automation.devices import GALAXY_S4
+from repro.core.qoe import SessionQoE
+from repro.core.session import SessionSetup, ViewingSession
 from repro.experiments.common import Workbench
 from repro.faults.impair import LossSpec
 from repro.faults.plan import FaultPlan
+from repro.netsim.events import EventLoop
+from repro.netsim.link import Link
+from repro.netsim.packet import HEADER_BYTES, Packet
 from repro.obs.health import HealthMonitor
 from repro.obs.export import render_health, render_prometheus
+from repro.player.buffer import PlayoutBuffer, StallEvent
+from repro.service.broadcast import sample_broadcast
+from repro.service.geo import POPULATION_CENTERS, GeoPoint
+from repro.service.selection import DeliveryProtocol
 
 
 # ----------------------------------------------------------------- unit
@@ -67,6 +79,88 @@ def test_faulted_run_holds_all_invariants():
         assert "all invariants held." in report
     finally:
         obs.deactivate()
+
+
+# ------------------------------------------------- failing-check details
+#
+# The check sites format their detail string only when the check fails;
+# a failure must still record the very sample it always did.
+
+
+def _health_only():
+    return obs.session(metrics=False, tracing=False, profiling=False,
+                       health=True)
+
+
+def test_failing_link_check_keeps_its_sample():
+    with _health_only() as telemetry:
+        loop = EventLoop()
+        link = Link(loop, rate_bps=8_000.0, delay_s=0.0, name="lnk")
+        link.deliver = lambda packet: None
+        link._busy_time_scheduled = 5.0  # corrupt: more work than time
+        loop.schedule(1.0, lambda: link.send(
+            Packet(flow_id=1, seq=0, payload_bytes=1000 - HEADER_BYTES)))
+        loop.run()
+        assert telemetry.health.snapshot() == {
+            "checks_total": 1,
+            "violations": {"link.utilization_bounded": 1},
+            "samples": [
+                "link.utilization_bounded: lnk: 5.000s busy in 1.000s elapsed",
+            ],
+        }
+
+
+def test_failing_buffer_checks_keep_their_samples():
+    with _health_only() as telemetry:
+        loop = EventLoop()
+        buffer = PlayoutBuffer(loop, start_threshold_s=2.0,
+                               rebuffer_threshold_s=1.0, broadcast_start=0.0)
+        buffer.set_play_origin(0.0)
+        loop.schedule(0.5, lambda: buffer.on_media(3.0))
+        loop.run_until(1.0)
+        buffer._playhead = lambda now: 9.25  # playhead past the frontier
+        loop.schedule(0.5, lambda: buffer.on_media(4.0))
+        loop.run_until(2.0)
+        buffer._stalls.append(StallEvent(start=1.75, duration=99.0))
+        buffer.finalize(10.0)
+        assert telemetry.health.snapshot() == {
+            "checks_total": 3,
+            "violations": {
+                "player.buffer_nonnegative": 1,
+                "player.stall_within_watch": 1,
+                "player.accounting_consistent": 1,
+            },
+            "samples": [
+                "player.buffer_nonnegative: frontier-playhead gap "
+                "-5.250000s at t=1.500",
+                "player.stall_within_watch: stall 99.000s over watch 10.000s",
+                "player.accounting_consistent: join 0.500 + playback 9.500 "
+                "+ stall 99.000 != watch 10.000",
+            ],
+        }
+
+
+def test_failing_session_check_keeps_its_sample(monkeypatch):
+    monkeypatch.setattr(SessionQoE, "consistent", lambda self: False)
+    broadcast = sample_broadcast(random.Random(5), 0.0, GeoPoint(41.0, 28.9),
+                                 POPULATION_CENTERS[17])
+    broadcast.mean_viewers = 12.0
+    broadcast.duration_s = 7200.0
+    setup = SessionSetup(
+        broadcast=broadcast, age_at_join=600.0,
+        protocol=DeliveryProtocol.RTMP, device=GALAXY_S4,
+        bandwidth_limit_mbps=100.0, watch_seconds=5.0, chat_ui_on=False,
+        cache_avatars=False, seed=5,
+    )
+    with _health_only() as telemetry:
+        ViewingSession(setup).run()
+        health = telemetry.health
+        assert health.violations == {"qoe.consistent": 1}
+        assert health.samples == [
+            "qoe.consistent: 7Hb1DX8pPd5kh: join 1.635 + playback 3.365 "
+            "+ stall 0.000 != watch 5.000",
+        ]
+        assert health.checks_total == 2457
 
 
 # --------------------------------------------------------------- exports
