@@ -12,14 +12,15 @@ above ``sessions_per_sec_serial`` in ``BENCH_parallel_study.json`` (the
 full-fidelity per-session rate).  The report records that ratio as
 ``viewers_per_session_rate`` — the bar in ROADMAP.md is >= 100x.
 
-Numbers are only meaningful relative to the recorded ``cpu_count``: on a
-single-core container extra workers measure dispatch overhead, not
-speedup.
+Numbers are only meaningful relative to the recorded ``cpu_count``,
+Python version and git SHA: on a single-core container extra workers
+measure dispatch overhead, not speedup, and a speedup is an A/B only
+against a baseline entry run on the same machine.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_population_world.py \\
-        [--viewers 1000000] [--workers 1] [--quick]
+        [--viewers 1000000] [--workers 1] [--sample-budget 48] [--quick]
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import json
 import os
 import pathlib
 import pickle
+import platform
 import resource
+import subprocess
 import time
 
 from repro.core.config import StudyConfig
@@ -38,6 +41,23 @@ from repro.world.popularity import PopulationParameters
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_population_world.json"
 PARALLEL_BENCH = pathlib.Path(__file__).parent / "BENCH_parallel_study.json"
+
+
+def git_sha():
+    """The checkout's HEAD, suffixed ``-dirty`` when the tracked sources
+    under ``src/`` differ from it; ``"unknown"`` outside a git checkout."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+            text=True, timeout=10, check=True).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no", "src"],
+            cwd=root, capture_output=True, text=True, timeout=10,
+            check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return f"{sha}-dirty" if status.strip() else sha
 
 
 def run_world(seed, viewers, workers, sample_budget, shards=None):
@@ -162,6 +182,8 @@ def main():
         "sampled_sessions": sampled,
         "sampled_sessions_per_sec": round(sampled / elapsed, 3),
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_sha": git_sha(),
         "peak_rss_kb": peak_rss_kb,
     }
     if rate_ratio is not None:

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.util.sampling import WeightedTable
+
 
 @dataclass(frozen=True)
 class ContentProfile:
@@ -49,18 +51,13 @@ CONTENT_PROFILES: Dict[str, ContentProfile] = {
 }
 
 
+_PROFILES = WeightedTable(list(CONTENT_PROFILES.values()),
+                          [p.weight for p in CONTENT_PROFILES.values()])
+
+
 def pick_profile(rng: random.Random) -> ContentProfile:
     """Draw a genre according to its prevalence weight."""
-    profiles = list(CONTENT_PROFILES.values())
-    weights = [p.weight for p in profiles]
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    for profile, weight in zip(profiles, weights):
-        acc += weight
-        if pick < acc:
-            return profile
-    return profiles[-1]
+    return _PROFILES.pick(rng)
 
 
 class ContentProcess:

@@ -20,7 +20,7 @@ import math
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.media.content import ContentProfile, pick_profile
 from repro.media.encoder import GopPattern
@@ -41,6 +41,16 @@ VIEWED_REPLAY_PROB = 0.62
 #: Chat stops accepting new senders once this many viewers joined.
 CHAT_FULL_VIEWERS = 150
 
+#: Shape of the audience curve: a linear ramp to the peak over the first
+#: ``RAMP_FRACTION`` of the broadcast's life, then exponential decay.
+RAMP_FRACTION = 0.15
+DECAY_RATE = 1.2
+#: Integral of the shape over [0, 1], the curve's normaliser.
+_SHAPE_INTEGRAL = RAMP_FRACTION / 2.0 + (1.0 - RAMP_FRACTION) / DECAY_RATE * (
+    1.0 - math.exp(-DECAY_RATE)
+)
+_DECAY_SPAN = 1.0 - RAMP_FRACTION
+
 
 class BroadcastState(enum.Enum):
     """Where a broadcast is in its lifecycle at a given instant."""
@@ -52,7 +62,8 @@ class BroadcastState(enum.Enum):
 
 def make_broadcast_id(rng: random.Random) -> str:
     """A 13-character opaque broadcast id."""
-    return "".join(rng.choice(_ID_ALPHABET) for _ in range(BROADCAST_ID_LENGTH))
+    choice = rng.choice
+    return "".join([choice(_ID_ALPHABET) for _ in range(BROADCAST_ID_LENGTH)])
 
 
 #: A small fraction of viewed broadcasts are "marathons" (surveillance
@@ -143,30 +154,54 @@ class Broadcast:
 
     # ----------------------------------------------------------- viewer curve
 
-    #: Shape parameters of the audience curve: quick ramp to a peak early
-    #: in the broadcast, then slow exponential decay.
-    _RAMP_FRACTION = 0.15
-    _DECAY_RATE = 1.2
-
     def viewers_at(self, t: float) -> float:
         """Instantaneous concurrent viewers at UTC time ``t``.
 
         The curve integrates (approximately) to ``mean_viewers`` over the
         broadcast's life.
         """
-        if not self.is_live_at(t) or self.mean_viewers <= 0:
+        start = self.start_time
+        # The liveness predicate of :meth:`state_at`, NaN included.
+        if not start <= t < start + self.duration_s or self.mean_viewers <= 0:
             return 0.0
-        x = (t - self.start_time) / self.duration_s  # progress in [0, 1)
-        ramp = self._RAMP_FRACTION
-        if x < ramp:
-            shape = x / ramp
+        x = (t - start) / self.duration_s  # progress in [0, 1)
+        if x < RAMP_FRACTION:
+            shape = x / RAMP_FRACTION
         else:
-            shape = math.exp(-self._DECAY_RATE * (x - ramp) / (1.0 - ramp))
-        # Normalize: integral of the shape over [0,1].
-        integral = ramp / 2.0 + (1.0 - ramp) / self._DECAY_RATE * (
-            1.0 - math.exp(-self._DECAY_RATE)
-        )
-        return self.mean_viewers * shape / integral
+            shape = math.exp(-DECAY_RATE * (x - RAMP_FRACTION) / _DECAY_SPAN)
+        return self.mean_viewers * shape / _SHAPE_INTEGRAL
+
+    def audience_curve(self, steps: int) -> List[float]:
+        """:meth:`viewers_at` at the midpoints of ``steps`` equal slices
+        of the broadcast's life, in one pass.
+
+        Element ``i`` equals ``viewers_at(start_time + (i + 0.5) * dt)``
+        with ``dt = duration_s / steps`` bit for bit: the loop performs
+        the same float operations in the same order.
+        """
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        start = self.start_time
+        duration_s = self.duration_s
+        mean = self.mean_viewers
+        if mean <= 0:
+            return [0.0] * steps
+        end = start + duration_s
+        dt_s = duration_s / steps
+        exp = math.exp
+        curve = []
+        for step in range(steps):
+            t = start + (step + 0.5) * dt_s
+            if not start <= t < end:
+                curve.append(0.0)
+                continue
+            x = (t - start) / duration_s
+            if x < RAMP_FRACTION:
+                shape = x / RAMP_FRACTION
+            else:
+                shape = exp(-DECAY_RATE * (x - RAMP_FRACTION) / _DECAY_SPAN)
+            curve.append(mean * shape / _SHAPE_INTEGRAL)
+        return curve
 
     def chat_is_full_at(self, t: float) -> bool:
         """New joiners cannot send messages once the chat filled up."""

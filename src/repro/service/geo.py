@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.util.sampling import WeightedTable
+
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -138,17 +140,13 @@ POPULATION_CENTERS: List[PopulationCenter] = [
 ]
 
 
+_CENTERS = WeightedTable(POPULATION_CENTERS,
+                         [c.weight for c in POPULATION_CENTERS])
+
+
 def sample_location(rng: random.Random) -> Tuple[GeoPoint, PopulationCenter]:
     """Draw a broadcaster location: weighted center + gaussian scatter."""
-    total = sum(c.weight for c in POPULATION_CENTERS)
-    pick = rng.random() * total
-    acc = 0.0
-    center = POPULATION_CENTERS[-1]
-    for candidate in POPULATION_CENTERS:
-        acc += candidate.weight
-        if pick < acc:
-            center = candidate
-            break
+    center = _CENTERS.pick(rng)
     lat = center.location.lat + rng.gauss(0.0, center.spread_deg)
     lon = center.location.lon + rng.gauss(0.0, center.spread_deg)
     lat = min(max(lat, -89.9), 89.9)

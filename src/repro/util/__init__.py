@@ -22,6 +22,7 @@ from repro.util.sampling import (
     bounded_lognormal,
     bounded_pareto,
     diurnal_weight,
+    WeightedTable,
     weighted_choice,
 )
 from repro.util.empirical import Ecdf, FiveNumberSummary, ecdf, five_number_summary
@@ -44,6 +45,7 @@ __all__ = [
     "bounded_lognormal",
     "bounded_pareto",
     "diurnal_weight",
+    "WeightedTable",
     "weighted_choice",
     "Ecdf",
     "FiveNumberSummary",

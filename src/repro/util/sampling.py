@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, Tuple, TypeVar
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Generic, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -100,19 +102,37 @@ def diurnal_weight(local_hour: float) -> float:
     return DIURNAL_PROFILE[lo] * (1.0 - frac) + DIURNAL_PROFILE[hi] * frac
 
 
+class WeightedTable(Generic[T]):
+    """A weighted draw over fixed items, with its running sums built once.
+
+    :meth:`pick` draws one ``rng.random()`` and returns the first item
+    whose running weight exceeds ``random() * total``, where ``total`` is
+    ``sum(weights)`` and the running sums are the floats of an
+    ``acc += weight`` loop (``itertools.accumulate``).  Build the table
+    once for weights that never change and draws cost one bisection.
+    """
+
+    __slots__ = ("items", "total", "cumulative")
+
+    def __init__(self, items: Sequence[T], weights: Sequence[float]) -> None:
+        if len(items) != len(weights):
+            raise ValueError("items and weights must have equal length")
+        if not items:
+            raise ValueError("cannot choose from an empty sequence")
+        if any(weight < 0 for weight in weights):
+            raise ValueError("weights must be non-negative")
+        self.total = float(sum(weights))
+        if self.total <= 0:
+            raise ValueError("total weight must be positive")
+        self.items = tuple(items)
+        self.cumulative = tuple(accumulate(weights))
+
+    def pick(self, rng: random.Random) -> T:
+        index = bisect_right(self.cumulative, rng.random() * self.total)
+        # Past every running sum only if rounding puts the draw there.
+        return self.items[min(index, len(self.items) - 1)]
+
+
 def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
     """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    pick = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if pick < acc:
-            return item
-    return items[-1]
+    return WeightedTable(items, weights).pick(rng)

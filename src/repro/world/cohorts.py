@@ -7,9 +7,10 @@ event-loop session per viewer, a cohort is advanced with closed-form
 fluid dynamics over the broadcast's audience curve:
 
 * **join/leave mass** — the audience curve
-  (:meth:`~repro.service.broadcast.Broadcast.viewers_at`) is integrated
-  stepwise; positive increments are joins, negative ones leaves, and
-  member-seconds divided by the watch window gives the session count;
+  (:meth:`~repro.service.broadcast.Broadcast.audience_curve`) is
+  integrated stepwise; positive increments are joins, negative ones
+  leaves, and member-seconds divided by the watch window gives the
+  session count;
 * **stall mass** — fluid starvation: at access rate ``C`` below the
   stream rate ``R``, playback advances at ``C/R`` of real time, so the
   stalled fraction of every watched second is ``1 - C/R``;
@@ -27,9 +28,9 @@ in the world keyed by broadcaster index alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.service.broadcast import Broadcast
+from repro.service.broadcast import RAMP_FRACTION, Broadcast
 from repro.service.selection import DeliveryProtocol
 from repro.util.units import MBPS
 from repro.world.popularity import apportion
@@ -134,7 +135,7 @@ def effective_stream_rate_bps(broadcast: Broadcast) -> float:
 
 def peak_viewers(broadcast: Broadcast) -> float:
     """The audience curve's maximum (reached at the end of the ramp)."""
-    ramp_end_s = broadcast.start_time + Broadcast._RAMP_FRACTION * broadcast.duration_s
+    ramp_end_s = broadcast.start_time + RAMP_FRACTION * broadcast.duration_s
     return broadcast.viewers_at(ramp_end_s)
 
 
@@ -198,30 +199,41 @@ def cohort_aggregate(
     cohort: Cohort,
     watch_seconds: float,
     steps: int = AUDIENCE_CURVE_STEPS,
+    curve: Optional[Sequence[float]] = None,
 ) -> CohortAggregate:
-    """Advance one cohort over the broadcast's life in closed form."""
+    """Advance one cohort over the broadcast's life in closed form.
+
+    ``curve`` is ``broadcast.audience_curve(steps)``; a broadcaster's
+    cohorts all share it, so callers advancing several of them compute
+    it once and pass it in.
+    """
     if watch_seconds <= 0.0:
         raise ValueError("watch_seconds must be positive")
-    duration_s = broadcast.duration_s
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if curve is None:
+        curve = broadcast.audience_curve(steps)
+    elif len(curve) != steps:
+        raise ValueError("curve must hold one value per step")
     share = cohort.members / cohort.audience if cohort.audience else 0.0
-    dt_s = duration_s / steps
+    dt_s = broadcast.duration_s / steps
     member_seconds = 0.0
     joins = 0.0
     leaves = 0.0
     peak_members = 0.0
     previous_members = 0.0
-    for step in range(steps):
-        # Midpoint rule keeps the integral close to ``mean * duration``
-        # even at coarse step counts.
-        t_s = broadcast.start_time + (step + 0.5) * dt_s
-        members_now = share * broadcast.viewers_at(t_s)
+    # Midpoint rule keeps the integral close to ``mean * duration`` even
+    # at coarse step counts.
+    for viewers in curve:
+        members_now = share * viewers
         member_seconds += members_now * dt_s
         delta = members_now - previous_members
         if delta >= 0.0:
             joins += delta
         else:
             leaves -= delta
-        peak_members = max(peak_members, members_now)
+        if members_now > peak_members:
+            peak_members = members_now
         previous_members = members_now
     leaves += previous_members  # everyone leaves when the broadcast ends
 

@@ -33,7 +33,12 @@ from repro import obs
 from repro.faults.plan import FaultPlan
 from repro.netsim import fastpath
 from repro.util.rng import Seedable
-from repro.world.cohorts import CohortAggregate, build_cohorts, cohort_aggregate
+from repro.world.cohorts import (
+    AUDIENCE_CURVE_STEPS,
+    CohortAggregate,
+    build_cohorts,
+    cohort_aggregate,
+)
 from repro.world.popularity import build_broadcast
 from repro.world.sampler import (
     ExpansionRequest,
@@ -177,13 +182,15 @@ def compute_shard(
         )
         broadcaster_total = CohortAggregate()
         protocol_value = ""
+        curve = broadcast.audience_curve(AUDIENCE_CURVE_STEPS)
         for cohort in build_cohorts(
             broadcast, index, audience, context.hls_viewer_threshold
         ):
             result.cohorts += 1
             protocol_value = cohort.protocol.value
             broadcaster_total.merge(
-                cohort_aggregate(broadcast, cohort, context.watch_seconds)
+                cohort_aggregate(broadcast, cohort, context.watch_seconds,
+                                 curve=curve)
             )
             result.requests.extend(
                 plan_expansions(

@@ -102,3 +102,5 @@ def test_weighted_choice_validation():
         weighted_choice(rng, [], [])
     with pytest.raises(ValueError):
         weighted_choice(rng, ["a"], [0.0])
+    with pytest.raises(ValueError):
+        weighted_choice(rng, ["a", "b"], [-1.0, 2.0])

@@ -1,11 +1,24 @@
 """Unit tests for the mesoscale world: popularity, cohorts, sampling."""
 
+import dataclasses
+import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import StudyConfig
 from repro.core.popstudy import PopulationStudy
+from repro.media.content import CONTENT_PROFILES, pick_profile
+from repro.service.broadcast import (
+    _ID_ALPHABET,
+    BROADCAST_ID_LENGTH,
+    BroadcastState,
+    make_broadcast_id,
+)
+from repro.service.geo import POPULATION_CENTERS, GeoPoint, sample_location
 from repro.service.selection import DeliveryProtocol
 from repro.world.cohorts import (
     BANDWIDTH_CLASSES,
@@ -176,6 +189,202 @@ class TestCohorts:
         cohort = build_cohorts(broadcast, 3, 50, hls_viewer_threshold=1e9)[0]
         with pytest.raises(ValueError):
             cohort_aggregate(broadcast, cohort, watch_seconds=0.0)
+
+    def test_invalid_steps_rejected(self):
+        # ``steps=0`` used to divide by zero and ``steps=-1`` returned an
+        # aggregate with no member mass but a non-zero buffer level.
+        broadcast = self._broadcast()
+        cohort = build_cohorts(broadcast, 3, 50, hls_viewer_threshold=1e9)[0]
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                cohort_aggregate(broadcast, cohort, watch_seconds=60.0,
+                                 steps=steps)
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                broadcast.audience_curve(steps)
+
+    def test_curve_length_must_match_steps(self):
+        broadcast = self._broadcast()
+        cohort = build_cohorts(broadcast, 3, 50, hls_viewer_threshold=1e9)[0]
+        with pytest.raises(ValueError):
+            cohort_aggregate(broadcast, cohort, watch_seconds=60.0, steps=8,
+                             curve=broadcast.audience_curve(4))
+
+
+# ------------------------------------------------- exactness of the curve
+#
+# The oracles below copy the per-step code the world ran before the
+# audience curve was evaluated once per broadcaster: ``viewers_at`` with
+# its per-call normalisation integral, and the cohort loop calling it at
+# every midpoint.  The kernel must reproduce them bit for bit.
+
+
+def _reference_viewers_at(broadcast, t):
+    if (broadcast.state_at(t) != BroadcastState.LIVE
+            or broadcast.mean_viewers <= 0):
+        return 0.0
+    x = (t - broadcast.start_time) / broadcast.duration_s
+    ramp = 0.15
+    decay = 1.2
+    if x < ramp:
+        shape = x / ramp
+    else:
+        shape = math.exp(-decay * (x - ramp) / (1.0 - ramp))
+    integral = ramp / 2.0 + (1.0 - ramp) / decay * (1.0 - math.exp(-decay))
+    return broadcast.mean_viewers * shape / integral
+
+
+def _reference_aggregate(broadcast, cohort, watch_seconds, steps):
+    share = cohort.members / cohort.audience if cohort.audience else 0.0
+    dt_s = broadcast.duration_s / steps
+    member_seconds = joins = leaves = peak_members = previous = 0.0
+    for step in range(steps):
+        t_s = broadcast.start_time + (step + 0.5) * dt_s
+        members_now = share * _reference_viewers_at(broadcast, t_s)
+        member_seconds += members_now * dt_s
+        delta = members_now - previous
+        if delta >= 0.0:
+            joins += delta
+        else:
+            leaves -= delta
+        peak_members = max(peak_members, members_now)
+        previous = members_now
+    leaves += previous
+    # Everything past the curve integral is unchanged code; take it from
+    # the kernel with the loop's outputs patched in.
+    rest = cohort_aggregate(broadcast, cohort, watch_seconds, steps=steps)
+    return dataclasses.replace(
+        rest, member_seconds=member_seconds,
+        sessions=member_seconds / watch_seconds,
+        joins=joins, leaves=leaves, peak_members=peak_members,
+    )
+
+
+_curve_broadcasts = st.builds(
+    dict,
+    start_time=st.one_of(st.just(0.0),
+                         st.floats(min_value=1e-3, max_value=5e7)),
+    duration_s=st.one_of(st.floats(min_value=1e-6, max_value=1.0),
+                         st.floats(min_value=1.0, max_value=5 * 86400.0)),
+    mean_viewers=st.one_of(st.just(0.0),
+                           st.floats(min_value=1e-3, max_value=20_000.0)),
+)
+
+
+def _curve_broadcast(traits):
+    base = build_broadcast(SEED, 11, audience=10, min_duration_s=1.0)
+    return dataclasses.replace(base, **traits)
+
+
+class TestAudienceCurveExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(traits=_curve_broadcasts, steps=st.integers(1, 64))
+    def test_curve_equals_viewers_at_midpoints(self, traits, steps):
+        broadcast = _curve_broadcast(traits)
+        curve = broadcast.audience_curve(steps)
+        assert len(curve) == steps
+        dt_s = broadcast.duration_s / steps
+        for i, value in enumerate(curve):
+            t = broadcast.start_time + (i + 0.5) * dt_s
+            assert value == broadcast.viewers_at(t)
+            assert value == _reference_viewers_at(broadcast, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(traits=_curve_broadcasts, steps=st.integers(1, 64),
+           audience=st.integers(1, 5_000),
+           watch_seconds=st.floats(min_value=0.5, max_value=600.0))
+    def test_aggregate_with_and_without_curve(self, traits, steps, audience,
+                                              watch_seconds):
+        broadcast = _curve_broadcast(traits)
+        curve = broadcast.audience_curve(steps)
+        for cohort in build_cohorts(broadcast, 11, audience,
+                                    hls_viewer_threshold=100):
+            computed = cohort_aggregate(broadcast, cohort, watch_seconds,
+                                        steps=steps)
+            shared = cohort_aggregate(broadcast, cohort, watch_seconds,
+                                      steps=steps, curve=curve)
+            reference = _reference_aggregate(broadcast, cohort,
+                                             watch_seconds, steps)
+            assert computed == shared == reference
+
+    def test_viewers_at_liveness_edges(self):
+        broadcast = _curve_broadcast(
+            dict(start_time=100.0, duration_s=50.0, mean_viewers=30.0))
+        for t in (99.999, 100.0, 120.0, 149.999, 150.0, 1e9, -1e9,
+                  float("nan"), float("inf"), float("-inf")):
+            assert (broadcast.viewers_at(t) == _reference_viewers_at(
+                broadcast, t)), t
+
+
+# ------------------------------------------ per-broadcaster sampling helpers
+
+
+def _reference_sample_location(rng):
+    total = sum(c.weight for c in POPULATION_CENTERS)
+    pick = rng.random() * total
+    acc = 0.0
+    center = POPULATION_CENTERS[-1]
+    for candidate in POPULATION_CENTERS:
+        acc += candidate.weight
+        if pick < acc:
+            center = candidate
+            break
+    lat = center.location.lat + rng.gauss(0.0, center.spread_deg)
+    lon = center.location.lon + rng.gauss(0.0, center.spread_deg)
+    lat = min(max(lat, -89.9), 89.9)
+    lon = ((lon + 180.0) % 360.0) - 180.0
+    return GeoPoint(lat, lon), center
+
+
+def _reference_pick_profile(rng):
+    profiles = list(CONTENT_PROFILES.values())
+    weights = [p.weight for p in profiles]
+    total = sum(weights)
+    pick = rng.random() * total
+    acc = 0.0
+    for profile, weight in zip(profiles, weights):
+        acc += weight
+        if pick < acc:
+            return profile
+    return profiles[-1]
+
+
+def _reference_broadcast_id(rng):
+    return "".join(rng.choice(_ID_ALPHABET)
+                   for _ in range(BROADCAST_ID_LENGTH))
+
+
+@pytest.mark.parametrize("helper, reference", [
+    (sample_location, _reference_sample_location),
+    (pick_profile, _reference_pick_profile),
+    (make_broadcast_id, _reference_broadcast_id),
+])
+def test_sampling_helpers_match_reference_draws(helper, reference):
+    for seed in range(200):
+        rng = random.Random(seed)
+        expected_rng = random.Random(seed)
+        for _ in range(3):
+            assert helper(rng) == reference(expected_rng), seed
+        assert rng.getstate() == expected_rng.getstate(), seed
+
+
+#: sha256 of a 20K-viewer, ``sample_budget=0`` world at seed 2016:
+#: cohort count plus ``repr`` of the sorted per-protocol totals.  Any
+#: float the fluid tier produces differently changes it.
+FLUID_WORLD_20K_SHA256 = (
+    "5e95d837d650b3b38909ed1433117ef43aa7bed081d53748e461717e26cd0389"
+)
+
+
+def test_fluid_world_golden_digest():
+    result = PopulationStudy(
+        StudyConfig(seed=SEED, workers=1),
+        PopulationParameters(viewers=20_000, sample_budget=0),
+    ).run()
+    payload = repr((result.world.cohorts,
+                    sorted(result.world.totals.items())))
+    assert result.world.cohorts == 5211
+    assert (hashlib.sha256(payload.encode()).hexdigest()
+            == FLUID_WORLD_20K_SHA256)
 
 
 class TestSampler:
