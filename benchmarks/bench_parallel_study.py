@@ -3,7 +3,9 @@
 Runs the same seeded bandwidth sweep at several worker counts, checks
 the datasets are bit-identical to the serial baseline (the guarantee
 the parallel path advertises), and writes the measured times to
-``benchmarks/BENCH_parallel_study.json``.
+``benchmarks/BENCH_parallel_study.json``.  It exits nonzero when a
+parallel or fast-path dataset diverges, or when one fast-path and one
+exact-path session per limit disagree on their packet capture traces.
 
 Numbers are only meaningful relative to the recorded ``cpu_count``: on
 a single-core container every worker count serializes onto one core,
@@ -18,13 +20,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
+import random
 import resource
 import time
 
+from benchenv import canonical_trace, environment
+from repro.automation.devices import GALAXY_S4
 from repro.core.config import StudyConfig
+from repro.core.session import SessionSetup, ViewingSession
 from repro.core.study import AutomatedViewingStudy
+from repro.netsim import fastpath
+from repro.service.broadcast import sample_broadcast
+from repro.service.geo import POPULATION_CENTERS, GeoPoint
+from repro.service.selection import DeliveryProtocol
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_parallel_study.json"
 
@@ -54,6 +63,42 @@ def datasets_identical(a, b):
         and a[limit].down_bytes == b[limit].down_bytes
         for limit in a
     )
+
+
+def trace_session(seed, limit, protocol, exact):
+    """Canonical capture trace of one seeded session at ``limit``."""
+    broadcast = sample_broadcast(random.Random(seed), 0.0,
+                                 GeoPoint(41.0, 28.9), POPULATION_CENTERS[17])
+    broadcast.mean_viewers = 12.0
+    broadcast.duration_s = 7200.0
+    setup = SessionSetup(
+        broadcast=broadcast,
+        age_at_join=600.0,
+        protocol=protocol,
+        device=GALAXY_S4,
+        bandwidth_limit_mbps=limit,
+        watch_seconds=8.0,
+        seed=seed,
+    )
+    if exact:
+        with fastpath.exact_network():
+            return canonical_trace(ViewingSession(setup).run().capture)
+    return canonical_trace(ViewingSession(setup).run().capture)
+
+
+def traces_identical(seed, limits):
+    """One fast and one exact session per limit (RTMP and HLS in turn)
+    must capture the same packet trace, line for line."""
+    protocols = (DeliveryProtocol.RTMP, DeliveryProtocol.HLS)
+    for index, limit in enumerate(limits):
+        protocol = protocols[index % 2]
+        fast = trace_session(seed, limit, protocol, exact=False)
+        exact = trace_session(seed, limit, protocol, exact=True)
+        print(f"trace gate {limit} Mbps {protocol.value}: {len(fast)} records, "
+              f"identical={fast == exact}")
+        if fast != exact:
+            return False
+    return True
 
 
 def main():
@@ -115,6 +160,9 @@ def main():
           f"identical={exact_identical})")
     if not exact_identical:
         raise SystemExit("fast-path dataset diverged from the exact path")
+    traces_match = traces_identical(args.seed, limits)
+    if not traces_match:
+        raise SystemExit("fast-path capture trace diverged from the exact path")
 
     # ---- speed trajectory: sessions/sec over the repo's history --------
     n_sessions = per_limit * len(limits)
@@ -147,15 +195,17 @@ def main():
         "sessions_per_sec_serial": round(n_sessions / baseline_seconds, 3),
         "exact_serial_seconds": round(exact_seconds, 3),
         "fast_exact_identical": exact_identical,
-        "cpu_count": os.cpu_count(),
+        "fast_exact_traces_identical": traces_match,
+        **environment(),
         "peak_rss_kb": peak_rss_kb,
     }
+    # Against the latest comparable entry: a same-machine A/B is the
+    # parent's run recorded just before this one.
     comparable = [
-        prior for prior in trajectory
-        if prior.get("config") == config and prior is not entry
+        prior for prior in trajectory if prior.get("config") == config
     ]
     if comparable:
-        before = comparable[0]["sessions_per_sec_serial"]
+        before = comparable[-1]["sessions_per_sec_serial"]
         entry["speedup_vs_baseline"] = round(
             entry["sessions_per_sec_serial"] / before, 3)
         print(f"sessions/sec serial: {before} -> "
@@ -166,7 +216,7 @@ def main():
     report = {
         "benchmark": "parallel_study",
         "config": config,
-        "cpu_count": os.cpu_count(),
+        **environment(),
         "peak_rss_kb": peak_rss_kb,
         "runs": runs,
         "exact": {

@@ -27,37 +27,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import pickle
-import platform
 import resource
-import subprocess
 import time
 
+from benchenv import environment
 from repro.core.config import StudyConfig
 from repro.core.popstudy import PopulationStudy
 from repro.world.popularity import PopulationParameters
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_population_world.json"
 PARALLEL_BENCH = pathlib.Path(__file__).parent / "BENCH_parallel_study.json"
-
-
-def git_sha():
-    """The checkout's HEAD, suffixed ``-dirty`` when the tracked sources
-    under ``src/`` differ from it; ``"unknown"`` outside a git checkout."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-            text=True, timeout=10, check=True).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no", "src"],
-            cwd=root, capture_output=True, text=True, timeout=10,
-            check=True).stdout
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return f"{sha}-dirty" if status.strip() else sha
 
 
 def run_world(seed, viewers, workers, sample_budget, shards=None):
@@ -181,9 +162,7 @@ def main():
         "viewers_per_sec": round(viewers_per_sec, 1),
         "sampled_sessions": sampled,
         "sampled_sessions_per_sec": round(sampled / elapsed, 3),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "git_sha": git_sha(),
+        **environment(),
         "peak_rss_kb": peak_rss_kb,
     }
     if rate_ratio is not None:
@@ -204,7 +183,7 @@ def main():
     report = {
         "benchmark": "population_world",
         "config": config,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": entry["cpu_count"],
         "peak_rss_kb": peak_rss_kb,
         "invariance_checked": invariant,
         "run": entry,

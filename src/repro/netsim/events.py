@@ -21,6 +21,8 @@ from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 
+_INF = float("inf")
+
 
 class Event:
     """A scheduled callback.  Returned by :meth:`EventLoop.schedule` so the
@@ -84,8 +86,13 @@ class EventLoop:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        # One chained comparison rejects negative, NaN and +inf delays: a
+        # NaN time compares false against everything, so it would break
+        # the heap invariant and strand every later event.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(
+                f"delay must be finite and non-negative (delay={delay})"
+            )
         event = Event(self._now + delay, next(self._seq), callback, loop=self)
         heapq.heappush(self._queue, (event.time, event.seq, event))
         self._live += 1

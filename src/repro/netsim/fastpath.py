@@ -33,6 +33,14 @@ with *micro-events* kept in per-hop FIFO deques owned by the loop's
   bound — the earliest real event and earliest other-lane micro-event —
   once per region, then runs the winning lane's hops in a tight inner
   loop until the bound is reached or a callback fires.
+* Taps see segments, not packets.  A link's segment observers are
+  called with ``(timestamp, segment, flow_id, is_ack)``:
+  :class:`~repro.netsim.trace.TraceCapture` logs those fields and builds
+  its records only when they are read, and only a plain ``Link.tap``
+  observer makes the loop build a :class:`Packet` view.  Segments are
+  chunked once per message at :meth:`FastLane.send`, which snapshots the
+  message's id, size, annotations and bytes; the key sort and the
+  ``_message`` splice a record needs happen when records are built.
 
 What is intentionally **not** preserved in fast mode: per-hop event-loop
 callbacks (so ``EventLoop.events_processed`` and profiler callback-site
@@ -109,22 +117,25 @@ def attach(loop: EventLoop) -> Optional["FastEngine"]:
 class _FastPacket:
     """Slim per-segment state: one MSS-sized slice of a message.
 
-    Replaces the per-hop :class:`Packet` dataclass; a real ``Packet`` is
-    materialized lazily (and cached) only when a tapped link needs to
-    show one to its observers.
+    Replaces the per-hop :class:`Packet` dataclass.  Nothing builds a
+    ``Packet`` for a segment unless a plain ``Link.tap`` observer is
+    registered: a :class:`~repro.netsim.trace.TraceCapture` logs the
+    segment's fields and builds its records on first read, and a plain
+    observer is shown a fresh view per call (:meth:`as_data_packet` /
+    :meth:`as_ack_packet`).
     """
 
     __slots__ = (
         "seq",
         "payload_bytes",
-        "message",
         "offset",
         "final",
-        "chunk",
-        "ann_items",
+        # ``(message, message_id, nbytes, annotation items, data)``,
+        # snapshotted once per message at send time and shared by its
+        # segments, so a later mutation of the message cannot change
+        # what a tap reports.
+        "header",
         "sent_at",
-        "_data_packet",
-        "_ack_packet",
         # Micro-event slot: a packet sits in exactly one per-hop FIFO at
         # a time, so its pending (time, tie-break seq) live on the packet
         # itself — no event tuples are ever allocated.
@@ -133,47 +144,32 @@ class _FastPacket:
     )
 
     def as_data_packet(self, flow_id: int) -> Packet:
-        packet = self._data_packet
-        if packet is None:
-            message = self.message
-            ann_items = self.ann_items
-            packet = Packet.__new__(Packet)
-            packet.__dict__ = {
-                "flow_id": flow_id,
-                "seq": self.seq,
-                "payload_bytes": self.payload_bytes,
-                "is_ack": False,
-                "message_id": message.message_id,
-                "message_offset": self.offset,
-                "message_total": message.nbytes,
-                "annotations": dict(ann_items),
-                "chunk": self.chunk,
-                "sent_at": self.sent_at,
-                "ann_items": ann_items,
-            }
-            self._data_packet = packet
-        return packet
+        message, message_id, total, items, data = self.header
+        offset = self.offset
+        payload = self.payload_bytes
+        annotations = dict(items)
+        if self.final:
+            annotations["_message"] = message
+        return Packet(
+            flow_id=flow_id,
+            seq=self.seq,
+            payload_bytes=payload,
+            message_id=message_id,
+            message_offset=offset,
+            message_total=total,
+            annotations=annotations,
+            chunk=None if data is None else data[offset : offset + payload],
+            sent_at=self.sent_at,
+        )
 
     def as_ack_packet(self, flow_id: int) -> Packet:
-        packet = self._ack_packet
-        if packet is None:
-            items = (("_acked_bytes", self.payload_bytes),)
-            packet = Packet.__new__(Packet)
-            packet.__dict__ = {
-                "flow_id": flow_id,
-                "seq": self.seq,
-                "payload_bytes": 0,
-                "is_ack": True,
-                "message_id": -1,
-                "message_offset": 0,
-                "message_total": 0,
-                "annotations": dict(items),
-                "chunk": None,
-                "sent_at": 0.0,
-                "ann_items": items,
-            }
-            self._ack_packet = packet
-        return packet
+        return Packet(
+            flow_id=flow_id,
+            seq=self.seq,
+            payload_bytes=0,
+            is_ack=True,
+            annotations={"_acked_bytes": self.payload_bytes},
+        )
 
 
 class FastEngine:
@@ -318,7 +314,7 @@ class FastEngine:
                     # drops it downstream).
                     conn._bytes_delivered += fp.payload_bytes
                     if fp.final:
-                        message = fp.message
+                        message = fp.header[0]
                         message.delivered_at = t
                         on_message = conn.on_message
                         if on_message is not None:
@@ -338,15 +334,13 @@ class FastEngine:
                 admit, taps, is_data = hops[nxt]
                 if is_data:
                     if taps:
-                        packet = fp.as_data_packet(flow_id)
                         for observer in taps:
-                            observer(packet, t)
+                            observer(t, fp, flow_id, False)
                     t2 = admit(fp.payload_bytes + HEADER_BYTES, t)
                 else:
                     if taps:
-                        packet = fp.as_ack_packet(flow_id)
                         for observer in taps:
-                            observer(packet, t)
+                            observer(t, fp, flow_id, True)
                     t2 = admit(_ACK_WIRE_BYTES, t)
                 # ---- enqueue the next hop's arrival (O(1), no allocation)
                 s2 = next(seq)
@@ -394,11 +388,12 @@ class FastLane:
         self.nf = len(conn.forward.links)
         self.last_data = self.nf - 1
         self.last_stage = len(self.route) - 1
-        #: Per-hop dispatch table: ``(link._admit, link._taps, is_data)``.
-        #: Bound methods and the (mutable, identity-stable) tap lists are
-        #: resolved once so the drain loop does no attribute chasing.
+        #: Per-hop dispatch table: ``(link._admit, link._segment_taps,
+        #: is_data)``.  Bound methods and the (mutable, identity-stable)
+        #: tap lists are resolved once so the drain loop does no
+        #: attribute chasing.
         self.hops = tuple(
-            (link._admit, link._taps, index < self.nf)
+            (link._admit, link._segment_taps, index < self.nf)
             for index, link in enumerate(self.route)
         )
         #: One FIFO of in-flight packets per hop (arrivals are time-ordered
@@ -417,21 +412,11 @@ class FastLane:
         conn = self.conn
         now = self.loop.now
         message.queued_at = now
-        # Annotation keys are unique, so a plain tuple sort never falls
-        # through to comparing values and equals the key-sorted order.
-        base_items = tuple(sorted(message.annotations.items()))
-        # The final segment additionally carries the message object under
-        # "_message"; splice it into its sorted slot instead of re-sorting.
-        slot = 0
-        for key, _ in base_items:
-            if key > "_message":
-                break
-            slot += 1
-        final_items = base_items[:slot] + (("_message", message),) + base_items[slot:]
         queue = conn._send_queue
         append = queue.append
-        data = message.data
         total = message.nbytes
+        header = (message, message.message_id, total,
+                  tuple(message.annotations.items()), message.data)
         seq = conn._next_seq
         offset = 0
         while offset < total:
@@ -440,20 +425,11 @@ class FastLane:
             fp = _FastPacket()
             fp.seq = seq
             fp.payload_bytes = size
-            fp.message = message
             fp.offset = offset
-            fp.chunk = data[offset : offset + size] if data is not None else None
-            fp.sent_at = 0.0
-            fp._data_packet = None
-            fp._ack_packet = None
+            fp.header = header
             seq += 1
             offset += size
-            if offset >= total:
-                fp.final = True
-                fp.ann_items = final_items
-            else:
-                fp.final = False
-                fp.ann_items = base_items
+            fp.final = offset >= total
             append(fp)
         conn._next_seq = seq
         self.pump(now)
@@ -478,9 +454,8 @@ class FastLane:
             conn._in_flight += payload
             conn._bytes_sent += payload
             if taps:
-                packet = fp.as_data_packet(flow_id)
                 for observer in taps:
-                    observer(packet, t)
+                    observer(t, fp, flow_id, False)
             t2 = admit(payload + HEADER_BYTES, t)
             s2 = next(seq)
             fp.ev_time = t2

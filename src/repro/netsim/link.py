@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro import obs
 from repro.faults.impair import LinkImpairment
@@ -28,6 +28,22 @@ _GAP_BOUND_EPS = 1e-9
 
 PacketSink = Callable[[Packet], None]
 PacketTap = Callable[[Packet, float], None]
+#: ``(timestamp, segment, flow_id, is_ack)``: how the fast path reports a
+#: :class:`~repro.netsim.fastpath` segment entering a tapped link.
+SegmentTap = Callable[[float, Any, int, bool], None]
+
+
+def _packet_view(observer: PacketTap) -> SegmentTap:
+    """Adapt a plain packet observer to fast-path segments: it is shown
+    a :class:`Packet` built from the segment, as on the exact path."""
+
+    def view(timestamp: float, segment, flow_id: int, is_ack: bool) -> None:
+        if is_ack:
+            observer(segment.as_ack_packet(flow_id), timestamp)
+        else:
+            observer(segment.as_data_packet(flow_id), timestamp)
+
+    return view
 
 
 class Link:
@@ -96,17 +112,34 @@ class Link:
         self._packets_metric: Counter
         self._bytes_metric: Counter
         self._queue_delay_metric: Histogram
+        self._throttle_metric: Optional[Counter] = None
+        self._impair_metric: Optional[Counter] = None
+        #: Tap observers in registration order: ``_taps`` for packets on
+        #: the exact path, ``_segment_taps`` (same order, same length)
+        #: for fast-path segments.  Both lists keep their identity —
+        #: fast-path lanes hold a reference to ``_segment_taps``.
         self._taps: List[PacketTap] = []
+        self._segment_taps: List[SegmentTap] = []
         self.bytes_carried = 0
         self.packets_carried = 0
 
-    def tap(self, observer: PacketTap) -> None:
-        """Register a capture observer (tcpdump-like, ingress side)."""
+    def tap(self, observer: PacketTap,
+            segment_observer: Optional[SegmentTap] = None) -> None:
+        """Register a capture observer (tcpdump-like, ingress side).
+
+        ``observer`` sees every packet entering the link as a
+        :class:`Packet`.  A capture that can record fast-path segments
+        without that view passes ``segment_observer``, which the fast
+        path calls instead; otherwise the fast path builds the view.
+        """
         self._taps.append(observer)
+        self._segment_taps.append(segment_observer or _packet_view(observer))
 
     def untap(self, observer: PacketTap) -> None:
         """Remove a previously registered observer."""
-        self._taps.remove(observer)
+        index = self._taps.index(observer)
+        del self._taps[index]
+        del self._segment_taps[index]
 
     def _prune_gaps(self, now: float) -> None:
         """Drop the gaps that ended by ``now``, keeping ``_gap_total``
@@ -281,21 +314,33 @@ class Link:
             self._bytes_metric.inc(wire_bytes)
             self._queue_delay_metric.observe(queue_wait)
             if throttle_wait > 0.0:
-                metrics.counter(
-                    "netsim_link_throttle_seconds_total",
-                    "Token-bucket shaping delay", link=self.name,
-                ).inc(throttle_wait)
+                throttle = self._throttle_metric
+                if throttle is None:
+                    throttle = self._throttle_metric = metrics.counter(
+                        "netsim_link_throttle_seconds_total",
+                        "Token-bucket shaping delay", link=self.name,
+                    )
+                throttle.inc(throttle_wait)
             if impair_wait > 0.0:
-                metrics.counter(
-                    "netsim_link_impairment_seconds_total",
-                    "Injected loss-recovery/jitter/flap delay",
-                    link=self.name,
-                ).inc(impair_wait)
+                impair = self._impair_metric
+                if impair is None:
+                    impair = self._impair_metric = metrics.counter(
+                        "netsim_link_impairment_seconds_total",
+                        "Injected loss-recovery/jitter/flap delay",
+                        link=self.name,
+                    )
+                impair.inc(impair_wait)
         return arrival
 
     def _bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Resolve the per-packet metric children once per registry."""
+        """Resolve the per-packet metric children once per registry.
+
+        The throttle and impairment counters are only reset here: they
+        are bound on their first positive delay, so a link that never
+        shapes or impairs exports no zero-valued series for them."""
         self._metrics_ref = weakref.ref(metrics, self._drop_metrics)
+        self._throttle_metric = None
+        self._impair_metric = None
         self._packets_metric = metrics.counter(
             "netsim_link_packets_total", "Packets entering the link",
             link=self.name,
@@ -313,6 +358,7 @@ class Link:
         """The bound registry died: release the children it owned."""
         self._metrics_ref = None
         del self._packets_metric, self._bytes_metric, self._queue_delay_metric
+        self._throttle_metric = self._impair_metric = None
 
     def _arrive(self, packet: Packet) -> None:
         if self.deliver is None:

@@ -42,10 +42,6 @@ class Packet:
     chunk: Optional[bytes] = None
     #: Filled by the connection layer: time the packet entered the network.
     sent_at: float = 0.0
-    #: Pre-sorted ``annotations.items()`` — set by the fast path, which
-    #: sorts once per message instead of once per capture record.  When
-    #: present it must equal ``sorted(annotations.items())``.
-    ann_items: Optional[Tuple[Tuple[str, Any], ...]] = None
 
     @property
     def wire_bytes(self) -> int:
@@ -86,10 +82,8 @@ class PacketRecord(NamedTuple):
 
         ``keep_payload=False`` drops the byte slice (a capture without
         payloads, like ``tcpdump -s 96``)."""
-        annotations = packet.ann_items
-        if annotations is None:
-            # Keys are unique, so a plain tuple sort equals key-sorted order.
-            annotations = tuple(sorted(packet.annotations.items()))
+        # Keys are unique, so a plain tuple sort equals key-sorted order.
+        annotations = tuple(sorted(packet.annotations.items()))
         return PacketRecord(
             timestamp,
             packet.flow_id,

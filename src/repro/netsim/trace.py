@@ -5,16 +5,42 @@ The paper captured all video/audio traffic on the tethering desktop with
 :class:`TraceCapture` taps one or more links and accumulates
 :class:`~repro.netsim.packet.PacketRecord` entries, which
 :mod:`repro.capture.reconstruct` post-processes the same way.
+
+Like tcpdump writing a pcap, the capture only *logs* while traffic
+flows and decodes afterwards.  On the :mod:`repro.netsim.fastpath`
+transport a tapped packet costs one log entry of the fields the fast
+path already holds; :attr:`TraceCapture.records` builds the records
+from the log on first read, in log order, and keeps extending them if
+more traffic arrives after a read.  ``len(capture)`` and
+:meth:`TraceCapture.total_bytes` are answered from the log without
+building anything.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import itertools
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.link import Link
 from repro.netsim.packet import HEADER_BYTES, Packet, PacketRecord
 
 RecordFilter = Callable[[PacketRecord], bool]
+
+
+def _with_message(items: Tuple[Tuple[str, Any], ...], message) -> Tuple[Tuple[str, Any], ...]:
+    """``items`` (key-sorted) with ``("_message", message)`` spliced into
+    its sorted slot — what the final segment of a message carries."""
+    slot = 0
+    for key, _ in items:
+        if key > "_message":
+            break
+        slot += 1
+    return items[:slot] + (("_message", message),) + items[slot:]
+
+
+#: Log slots per captured fast-path segment: ``(timestamp, header, seq,
+#: offset, payload_bytes, flow_id, is_ack, direction)``.
+_STRIDE = 8
 
 
 class TraceCapture:
@@ -24,45 +50,49 @@ class TraceCapture:
     for server→phone, ``"up"`` for phone→server) that ends up on every
     record, mirroring how a capture on a physical interface distinguishes
     RX from TX.
+
+    ``capture_payload=False`` drops the byte slices from the records (a
+    capture without payloads, like ``tcpdump -s 96``); it is fixed at
+    construction because records are built after the fact.
     """
 
     def __init__(self, capture_payload: bool = True) -> None:
-        self.records: List[PacketRecord] = []
-        self.capture_payload = capture_payload
+        self._capture_payload = capture_payload
+        #: Records built so far, in capture order.
+        self._records: List[PacketRecord] = []
+        #: Fast-path segments captured after ``_records``, not yet built:
+        #: ``_STRIDE`` flat slots each.  Every slot references an object
+        #: the fast path already holds (the per-message header, ints,
+        #: the timestamp float), so the log keeps no segment, and no
+        #: object the cyclic collector tracks per packet, alive.
+        self._log: List[Any] = []
         self._taps: List[tuple] = []
         self.enabled = True
 
+    @property
+    def capture_payload(self) -> bool:
+        return self._capture_payload
+
     def tap_link(self, link: Link, direction: str) -> None:
         """Start capturing packets entering ``link``."""
-        keep_payload = self.capture_payload
-        records = self.records
-        append = records.append
-        record = PacketRecord
+        keep_payload = self._capture_payload
+        log = self._log.extend
 
-        def observer(packet: Packet, timestamp: float, _direction: str = direction) -> None:
-            # Inlined PacketRecord.of: this closure runs once per packet
-            # per tapped link, the hottest capture-side call site.
+        def observer(packet: Packet, timestamp: float) -> None:
+            # Exact path: a Packet may change after the tap, so its
+            # record is built now, after every earlier logged segment.
             if self.enabled:
-                annotations = packet.ann_items
-                if annotations is None:
-                    annotations = tuple(sorted(packet.annotations.items()))
-                payload = packet.payload_bytes
-                append(record(
-                    timestamp,
-                    packet.flow_id,
-                    packet.seq,
-                    payload,
-                    payload + HEADER_BYTES,
-                    packet.is_ack,
-                    _direction,
-                    packet.message_id,
-                    packet.message_offset,
-                    packet.message_total,
-                    annotations,
-                    packet.chunk if keep_payload else None,
-                ))
+                self.records.append(
+                    PacketRecord.of(packet, timestamp, direction, keep_payload))
 
-        link.tap(observer)
+        def log_segment(timestamp: float, segment, flow_id: int, is_ack: bool) -> None:
+            # Fast path: a segment's fields never change once sent, so
+            # they are logged as they are and the record waits for a read.
+            if self.enabled:
+                log((timestamp, segment.header, segment.seq, segment.offset,
+                     segment.payload_bytes, flow_id, is_ack, direction))
+
+        link.tap(observer, log_segment)
         self._taps.append((link, observer))
 
     def stop(self) -> None:
@@ -77,6 +107,52 @@ class TraceCapture:
 
     def resume(self) -> None:
         self.enabled = True
+
+    # ----------------------------------------------------------- the log
+
+    @property
+    def records(self) -> List[PacketRecord]:
+        """Every captured record, in capture order."""
+        if self._log:
+            self._build()
+        return self._records
+
+    def _build(self) -> None:
+        """Turn the logged segments into records, exactly as an eager tap
+        would have: same fields, same order, equal annotation tuples."""
+        keep_payload = self._capture_payload
+        append = self._records.append
+        record = PacketRecord
+        # Key-sorted annotations per message header, sorted once.
+        sorted_items: Dict[int, Tuple[Tuple[str, Any], ...]] = {}
+        # zip over one iterator repeated _STRIDE times walks the flat
+        # log one segment at a time.
+        for (timestamp, header, seq, offset, payload, flow_id, is_ack,
+             direction) in zip(*[iter(self._log)] * _STRIDE):
+            if is_ack:
+                append(record(
+                    timestamp, flow_id, seq, 0, HEADER_BYTES, True,
+                    direction, -1, 0, 0, (("_acked_bytes", payload),), None,
+                ))
+                continue
+            message, message_id, total, items, data = header
+            annotations = sorted_items.get(id(header))
+            if annotations is None:
+                # Keys are unique, so a plain tuple sort never compares
+                # values and equals the key-sorted order.
+                annotations = sorted_items[id(header)] = tuple(sorted(items))
+            end = offset + payload
+            if end >= total:
+                annotations = _with_message(annotations, message)
+            chunk = None
+            if keep_payload and data is not None:
+                chunk = data[offset:end]
+            append(record(
+                timestamp, flow_id, seq, payload, payload + HEADER_BYTES,
+                False, direction, message_id, offset, total, annotations,
+                chunk,
+            ))
+        self._log.clear()
 
     # ------------------------------------------------------------- queries
 
@@ -100,12 +176,21 @@ class TraceCapture:
         ]
 
     def total_bytes(self, direction: Optional[str] = None, include_acks: bool = True) -> int:
-        """Total wire bytes observed (for traffic-volume comparisons)."""
+        """Total wire bytes observed (for traffic-volume comparisons).
+
+        Read from the built records and the log, so it builds nothing.
+        A logged ACK carries the payload it acknowledges, hence the
+        header-only size for every ACK."""
+        log = self._log
+        packets = itertools.chain(
+            ((r.payload_bytes, r.is_ack, r.direction) for r in self._records),
+            zip(log[4::_STRIDE], log[6::_STRIDE], log[7::_STRIDE]),
+        )
         return sum(
-            r.wire_bytes
-            for r in self.records
-            if (direction is None or r.direction == direction)
-            and (include_acks or not r.is_ack)
+            HEADER_BYTES if is_ack else payload + HEADER_BYTES
+            for payload, is_ack, d in packets
+            if (direction is None or d == direction)
+            and (include_acks or not is_ack)
         )
 
     def byterate_bps(self, t0: float, t1: float, direction: Optional[str] = None) -> float:
@@ -120,4 +205,4 @@ class TraceCapture:
         return nbytes * 8.0 / (t1 - t0)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records) + len(self._log) // _STRIDE

@@ -14,11 +14,13 @@ the session value is the time-weighted mean over playing intervals.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.netsim.events import Event, EventLoop
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 @dataclass
@@ -96,6 +98,11 @@ class PlayoutBuffer:
         self._causes_join_base: Optional[Dict[str, float]] = None
         self._causes_stall_base: Optional[Dict[str, float]] = None
         self.join_causes: Optional[Dict[str, float]] = None
+        #: Buffer-level histogram child, bound on the first metered
+        #: arrival to the registry ``_metrics_ref`` points at (weakly, as
+        #: :class:`~repro.netsim.link.Link` binds its per-packet children).
+        self._metrics_ref: Optional["weakref.ref[MetricsRegistry]"] = None
+        self._level_metric: Optional[Histogram] = None
         telemetry = obs.active()
         if telemetry.enabled and telemetry.causes_on:
             # The session's ledger bucket starts empty at session start
@@ -128,15 +135,25 @@ class PlayoutBuffer:
                 f"frontier-playhead gap {gap:.6f}s at t={self.loop.now:.3f}",
             )
         if telemetry.enabled and telemetry.metrics_on:
-            telemetry.metrics.histogram(
-                "player_buffer_level_seconds",
-                "Playable media ahead of the playhead, sampled per arrival",
-                buckets=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-            ).observe(self.buffer_level_s())
+            metrics = telemetry.metrics
+            ref = self._metrics_ref
+            if ref is None or ref() is not metrics:
+                self._metrics_ref = weakref.ref(metrics, self._drop_metrics)
+                self._level_metric = metrics.histogram(
+                    "player_buffer_level_seconds",
+                    "Playable media ahead of the playhead, sampled per arrival",
+                    buckets=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
+                )
+            self._level_metric.observe(self.buffer_level_s())
         if not self._playing:
             self._maybe_start_or_resume()
         else:
             self._reschedule_underrun()
+
+    def _drop_metrics(self, ref: "weakref.ref[MetricsRegistry]") -> None:
+        """The bound registry died: release the child it owned."""
+        self._metrics_ref = None
+        self._level_metric = None
 
     def set_play_origin(self, pts: float) -> None:
         """Pin where the playhead will start (e.g. an HLS segment start).

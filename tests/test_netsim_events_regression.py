@@ -1,6 +1,8 @@
 """Regression: run_until must not execute past-deadline events when a
 cancelled event with an earlier timestamp sits at the heap head."""
 
+import pytest
+
 from repro.netsim.events import EventLoop
 
 
@@ -29,3 +31,21 @@ def test_many_cancelled_heads():
     assert fired == []
     loop.run_until(3.5)
     assert fired == ["keep"]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1e-9])
+def test_non_finite_or_negative_delay_rejected(delay):
+    """A NaN time compares false against everything: once on the heap it
+    breaks the heap invariant and no later event ever fires.  The loop
+    must refuse it (and +inf) up front, leaving the queue usable."""
+    loop = EventLoop()
+    fired = []
+    with pytest.raises(ValueError):
+        loop.schedule(delay, lambda: fired.append("bad"))
+    with pytest.raises(ValueError):
+        loop.schedule_at(delay, lambda: fired.append("bad"))
+    loop.schedule(1.0, lambda: fired.append(1.0))
+    loop.schedule(0.5, lambda: fired.append(0.5))
+    loop.run_until(2.0)
+    assert fired == [0.5, 1.0]
+    assert loop.pending() == 0

@@ -440,3 +440,45 @@ def test_link_metric_handles_rebind_per_registry():
     del registries, registry, telemetry
     assert link._metrics_ref is None
     assert not hasattr(link, "_queue_delay_metric")
+
+
+def test_conditional_link_counters_bind_on_first_delay():
+    """The throttle/impairment counters are cached per registry, created
+    on the first positive delay only, and released with the registry."""
+    from repro import obs
+    from repro.obs.metrics import MetricFamily
+
+    loop = EventLoop()
+    shaped = Link(loop, rate_bps=8e6, delay_s=0.0, name="shaped",
+                  shaper=TokenBucketShaper(rate_bps=1e6, bucket_bytes=1500))
+    plain = Link(loop, rate_bps=8e6, delay_s=0.0, name="plain")
+    shaped.deliver = plain.deliver = lambda p: None
+    child_calls = []
+    original = MetricFamily.child
+    MetricFamily.child = lambda self, labels: (
+        child_calls.append(self.name), original(self, labels))[1]
+    try:
+        registries = []
+        for packets in (6, 4):
+            with obs.session(tracing=False, profiling=False) as telemetry:
+                for seq in range(packets):
+                    shaped.send(make_packet(nbytes=1000, seq=seq))
+                    plain.send(make_packet(nbytes=1000, seq=seq))
+                loop.run()
+                registries.append(telemetry.metrics)
+    finally:
+        MetricFamily.child = original
+    # One lookup per registry, however many packets were throttled.
+    assert child_calls.count("netsim_link_throttle_seconds_total") == 2
+    for registry in registries:
+        throttled = registry.get("netsim_link_throttle_seconds_total",
+                                 link="shaped")
+        assert throttled is not None and throttled.value > 0.0
+        # No zero-valued series for a link that was never delayed.
+        assert registry.get("netsim_link_throttle_seconds_total",
+                            link="plain") is None
+        assert registry.get("netsim_link_impairment_seconds_total",
+                            link="shaped") is None
+    del registries, registry, throttled, telemetry
+    assert shaped._metrics_ref is None
+    assert shaped._throttle_metric is None

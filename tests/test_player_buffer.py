@@ -154,3 +154,27 @@ def test_report_consistency_invariant():
     loop.run_until(20.0)
     report = buf.finalize(20.0)
     assert report.join_time_s + report.playback_s + report.total_stall_s == pytest.approx(20.0)
+
+
+def test_buffer_level_child_cached_per_registry():
+    """``on_media`` resolves its histogram child once per registry and
+    lets it go with the registry."""
+    from repro import obs
+    from repro.obs.metrics import MetricFamily
+
+    child_calls = []
+    original = MetricFamily.child
+    MetricFamily.child = lambda self, labels: (
+        child_calls.append(self.name), original(self, labels))[1]
+    try:
+        with obs.session(tracing=False, profiling=False) as telemetry:
+            loop, buf = make()
+            for pts in (0.5, 1.0, 1.5, 2.5, 3.0):
+                buf.on_media(pts)
+            registry = telemetry.metrics
+    finally:
+        MetricFamily.child = original
+    assert child_calls.count("player_buffer_level_seconds") == 1
+    assert registry.get("player_buffer_level_seconds").count == 5
+    del registry, telemetry
+    assert buf._metrics_ref is None and buf._level_metric is None
