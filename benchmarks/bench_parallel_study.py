@@ -4,8 +4,11 @@ Runs the same seeded bandwidth sweep at several worker counts, checks
 the datasets are bit-identical to the serial baseline (the guarantee
 the parallel path advertises), and writes the measured times to
 ``benchmarks/BENCH_parallel_study.json``.  It exits nonzero when a
-parallel or fast-path dataset diverges, or when one fast-path and one
-exact-path session per limit disagree on their packet capture traces.
+parallel or fast-path dataset diverges, when one fast-path and one
+exact-path session per limit disagree on their packet capture traces,
+or when any of those sessions leaves cyclic garbage (a finished session
+must be freed by reference counting alone).  It also records how many
+generation-2 collections the serial sweep ran.
 
 Numbers are only meaningful relative to the recorded ``cpu_count``: on
 a single-core container every worker count serializes onto one core,
@@ -19,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import random
@@ -56,6 +60,22 @@ def run_sweep(seed, per_limit, limits, workers, exact=False):
     return sweep, elapsed
 
 
+def count_gen2(run):
+    """``run()``'s result and the generation-2 collections it ran."""
+    passes = 0
+
+    def on_gc(phase, info):
+        nonlocal passes
+        if phase == "start" and info["generation"] == 2:
+            passes += 1
+
+    gc.callbacks.append(on_gc)
+    try:
+        return run(), passes
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
 def datasets_identical(a, b):
     return all(
         a[limit].sessions == b[limit].sessions
@@ -66,7 +86,9 @@ def datasets_identical(a, b):
 
 
 def trace_session(seed, limit, protocol, exact):
-    """Canonical capture trace of one seeded session at ``limit``."""
+    """Canonical capture trace of one seeded session at ``limit``, and
+    the objects the cyclic collector finds once the session and its
+    artifacts are gone (the collector is off while the session runs)."""
     broadcast = sample_broadcast(random.Random(seed), 0.0,
                                  GeoPoint(41.0, 28.9), POPULATION_CENTERS[17])
     broadcast.mean_viewers = 12.0
@@ -80,25 +102,36 @@ def trace_session(seed, limit, protocol, exact):
         watch_seconds=8.0,
         seed=seed,
     )
-    if exact:
-        with fastpath.exact_network():
-            return canonical_trace(ViewingSession(setup).run().capture)
-    return canonical_trace(ViewingSession(setup).run().capture)
+    gc.collect()
+    gc.disable()
+    try:
+        if exact:
+            with fastpath.exact_network():
+                trace = canonical_trace(ViewingSession(setup).run().capture)
+        else:
+            trace = canonical_trace(ViewingSession(setup).run().capture)
+        return trace, gc.collect()
+    finally:
+        gc.enable()
 
 
-def traces_identical(seed, limits):
+def trace_gate(seed, limits):
     """One fast and one exact session per limit (RTMP and HLS in turn)
-    must capture the same packet trace, line for line."""
+    must capture the same packet trace, line for line.  Returns whether
+    they all did, and the cyclic garbage each session left."""
     protocols = (DeliveryProtocol.RTMP, DeliveryProtocol.HLS)
+    garbage = []
     for index, limit in enumerate(limits):
         protocol = protocols[index % 2]
-        fast = trace_session(seed, limit, protocol, exact=False)
-        exact = trace_session(seed, limit, protocol, exact=True)
+        fast, fast_garbage = trace_session(seed, limit, protocol, exact=False)
+        exact, exact_garbage = trace_session(seed, limit, protocol, exact=True)
+        garbage += [fast_garbage, exact_garbage]
         print(f"trace gate {limit} Mbps {protocol.value}: {len(fast)} records, "
-              f"identical={fast == exact}")
+              f"identical={fast == exact}, cyclic garbage "
+              f"{fast_garbage} fast / {exact_garbage} exact")
         if fast != exact:
-            return False
-    return True
+            return False, garbage
+    return True, garbage
 
 
 def main():
@@ -131,10 +164,13 @@ def main():
     baseline_sweep = None
     baseline_seconds = None
     runs = []
+    gen2_serial = None
     for workers in worker_counts:
-        sweep, elapsed = run_sweep(args.seed, per_limit, limits, workers)
+        (sweep, elapsed), gen2 = count_gen2(
+            lambda: run_sweep(args.seed, per_limit, limits, workers))
         if baseline_sweep is None:
             baseline_sweep, baseline_seconds = sweep, elapsed
+            gen2_serial = gen2
         identical = datasets_identical(baseline_sweep, sweep)
         runs.append({
             "workers": workers,
@@ -160,12 +196,16 @@ def main():
           f"identical={exact_identical})")
     if not exact_identical:
         raise SystemExit("fast-path dataset diverged from the exact path")
-    traces_match = traces_identical(args.seed, limits)
+    traces_match, garbage = trace_gate(args.seed, limits)
     if not traces_match:
         raise SystemExit("fast-path capture trace diverged from the exact path")
+    if any(garbage):
+        raise SystemExit(f"a session left cyclic garbage: {garbage} objects")
+    n_sessions = per_limit * len(limits)
+    print(f"generation-2 collections in the serial sweep: {gen2_serial} "
+          f"({gen2_serial / n_sessions:.2f} per session)")
 
     # ---- speed trajectory: sessions/sec over the repo's history --------
-    n_sessions = per_limit * len(limits)
     trajectory = []
     if existing is not None:
         trajectory = list(existing.get("trajectory", []))
@@ -196,6 +236,9 @@ def main():
         "exact_serial_seconds": round(exact_seconds, 3),
         "fast_exact_identical": exact_identical,
         "fast_exact_traces_identical": traces_match,
+        "gen2_collections_serial": gen2_serial,
+        "gen2_per_session": round(gen2_serial / n_sessions, 3),
+        "cyclic_garbage_per_session": garbage,
         **environment(),
         "peak_rss_kb": peak_rss_kb,
     }

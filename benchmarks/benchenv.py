@@ -2,8 +2,9 @@
 
 ``environment()`` is what every ``BENCH_*.json`` entry records about
 the machine and the code, so an A/B is only read between entries that
-ran on the same machine.  ``canonical_trace()`` renders a packet
-capture as stable text for the fast-path trace gate.
+ran on the same machine.  ``canonical_trace()`` (re-exported from
+:mod:`repro.netsim.trace`) renders a packet capture as stable text for
+the fast-path trace gate.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ import os
 import pathlib
 import platform
 import subprocess
-from typing import Dict, List, Union
+from typing import Dict, Union
+
+from repro.netsim.trace import canonical_trace
+
+__all__ = ["canonical_trace", "environment", "git_sha"]
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -40,38 +45,3 @@ def environment() -> Dict[str, Union[int, str, None]]:
         "python": platform.python_version(),
         "git_sha": git_sha(),
     }
-
-
-def canonical_trace(capture) -> List[str]:
-    """Render a :class:`~repro.netsim.trace.TraceCapture` as stable text
-    lines, one per record, in capture order.
-
-    Flow and message ids come from process-global counters, so they are
-    normalized to first-appearance indices; ``_``-prefixed annotations
-    carry live objects and are skipped.  The same rendering as the
-    fast-path identity tests, so a gate failure here reproduces there.
-    """
-    flow_index: Dict[int, int] = {}
-    message_index: Dict[int, int] = {}
-    lines = []
-    for record in capture.records:
-        flow = flow_index.setdefault(record.flow_id, len(flow_index))
-        if record.message_id < 0:
-            message = -1
-        else:
-            message = message_index.setdefault(
-                record.message_id, len(message_index))
-        annotations = ",".join(
-            f"{key}={value!r}"
-            for key, value in record.annotations
-            if not key.startswith("_")
-            and isinstance(value, (str, int, float, bool, type(None)))
-        )
-        lines.append(
-            f"{record.timestamp:.9f} {record.direction} flow={flow} "
-            f"seq={record.seq} bytes={record.payload_bytes}/{record.wire_bytes} "
-            f"ack={int(record.is_ack)} "
-            f"msg={message}:{record.message_offset}:{record.message_total} "
-            f"[{annotations}]"
-        )
-    return lines

@@ -9,6 +9,7 @@ app finally uploads its playbackMeta statistics.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -22,7 +23,7 @@ from repro.core.testbed import SessionTestbed, TestbedConfig, VIEWER_LOCATION
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetrySchedule
 from repro.media.frames import EncodedFrame
-from repro.netsim.connection import Connection, Message
+from repro.netsim.connection import Message
 from repro.netsim.events import EventLoop
 from repro.player.chat_client import ChatClient
 from repro.player.hls_player import HlsPlayer
@@ -121,6 +122,11 @@ class ViewingSession:
         self._fault_events: List[str] = []
         self._api_retries = 0
         self._ingest_windows: List[Tuple[float, float]] = []
+        #: Built by run() and closed once it returns (see _close).
+        self._driver: Optional[LiveSourceDriver] = None
+        self._http_clients: List[HttpClient] = []
+        self._api_client: Optional[HttpClient] = None
+        self._api_retry_rng: Optional[random.Random] = None
 
     # -------------------------------------------------------------- topology
 
@@ -132,6 +138,32 @@ class ViewingSession:
     # ------------------------------------------------------------------- run
 
     def run(self) -> SessionArtifacts:
+        """Watch the broadcast and return the session's artifacts.
+
+        The session graph is torn down afterwards, even on error (see
+        :meth:`_close`); the artifacts stay valid."""
+        try:
+            return self._watch()
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        """Break the session graph's reference cycles.
+
+        The loop, the fast path, connections, hosts, links, streams,
+        HTTP clients and the media driver all hold callbacks into each
+        other; closing them lets reference counting free a finished
+        session instead of leaving it to the cyclic collector.  What
+        the artifacts need (the QoE record, the capture's records and
+        the loop's ``events_processed``) is kept."""
+        if self._driver is not None:
+            self._driver.close()
+        for client in self._http_clients:
+            client.close()
+        self.testbed.close()
+        self.loop.close()
+
+    def _watch(self) -> SessionArtifacts:
         setup = self.setup
         loop = self.loop
         tb = self.testbed
@@ -164,7 +196,7 @@ class ViewingSession:
         tb.add_server("s3", S3_LOCATION)
 
         history = RTMP_HISTORY_S if setup.protocol == DeliveryProtocol.RTMP else HLS_HISTORY_S
-        driver = LiveSourceDriver(
+        driver = self._driver = LiveSourceDriver(
             loop,
             setup.broadcast,
             age_at_join=setup.age_at_join,
@@ -177,11 +209,10 @@ class ViewingSession:
         plan = setup.faults
         seed = (setup.seed, setup.broadcast.broadcast_id)
         api_fault = None
-        api_retry_rng = None
         if plan is not None and plan.has_api_faults:
             api_fault = plan.api_injector(child_rng(seed, "fault-api"))
         if plan is not None:
-            api_retry_rng = child_rng(seed, "fault-api-retry")
+            self._api_retry_rng = child_rng(seed, "fault-api-retry")
         if plan is not None and plan.has_ingest_faults:
             self._ingest_windows = plan.ingest_windows(
                 child_rng(seed, "fault-ingest"), setup.watch_seconds
@@ -210,43 +241,7 @@ class ViewingSession:
             return HttpResponse(HttpStatus.OK, json_body={"ok": True})
 
         HttpServer(loop, api_stream, api_handler, processing_delay_s=0.030)
-        api_client = HttpClient(loop, api_stream)
-
-        def api_call(json_body: dict, on_ok, kind: str) -> None:
-            """Issue one API request; with a fault plan active, walk the
-            shared retry policy on 5xx and degrade gracefully (a recorded
-            fault event) when the budget runs out."""
-            request = HttpRequest("POST", "/api/v2/apiRequest", json_body=json_body)
-            if plan is None:
-                api_client.request(request, on_ok)
-                return
-            schedule = RetrySchedule(
-                plan.retry, rng=api_retry_rng, started_at=loop.now
-            )
-
-            def send() -> None:
-                api_client.request(request, on_response)
-
-            def on_response(response: HttpResponse, now: float) -> None:
-                if response.status != HttpStatus.OK:
-                    delay = schedule.next_delay(now)
-                    if delay is None:
-                        self._fault_events.append(f"api-gave-up:{kind}")
-                        return
-                    self._api_retries += 1
-                    tel = obs.active()
-                    if tel.enabled and tel.metrics_on:
-                        tel.metrics.counter(
-                            "retries_total", "Client retry attempts",
-                            kind="session-api",
-                        ).inc()
-                    if tel.enabled and tel.causes_on:
-                        tel.causes.add("api.retry_backoff", delay)
-                    loop.schedule(delay, send)
-                    return
-                on_ok(response, now)
-
-            send()
+        self._api_client = self._http_client(api_stream)
 
         # --- media path ----------------------------------------------------
         if setup.protocol == DeliveryProtocol.RTMP:
@@ -269,7 +264,7 @@ class ViewingSession:
         for pool_index in range(AVATAR_POOL_CONNECTIONS):
             s3_stream = tb.stream_to("s3", name=f"s3-{pool_index}")
             HttpServer(loop, s3_stream, s3_handler, processing_delay_s=0.005)
-            avatar_clients.append(HttpClient(loop, s3_stream))
+            avatar_clients.append(self._http_client(s3_stream))
         chat_client = ChatClient(
             loop,
             avatar_clients,
@@ -318,14 +313,14 @@ class ViewingSession:
             self._begin_media(now)
 
         def on_teleport(response: HttpResponse, now: float) -> None:
-            api_call(
+            self._api_call(
                 {"request": "accessVideo",
                  "broadcast_id": setup.broadcast.broadcast_id},
                 on_access_video,
                 kind="accessVideo",
             )
 
-        api_call(
+        self._api_call(
             {"request": "getBroadcasts",
              "broadcast_ids": [setup.broadcast.broadcast_id]},
             on_teleport,
@@ -338,7 +333,7 @@ class ViewingSession:
 
         # The app uploads playbackMeta after the session closes.
         playback_meta = self._playback_meta(report)
-        api_call(
+        self._api_call(
             {"request": "playbackMeta", "stats": playback_meta},
             lambda resp, t: None,
             kind="playbackMeta",
@@ -364,6 +359,57 @@ class ViewingSession:
             total_down_bytes=tb.capture.total_bytes(direction="down"),
         )
 
+    # --------------------------------------------------------------- the API
+
+    def _http_client(self, stream) -> HttpClient:
+        """An HTTP client over ``stream``, closed with the session."""
+        client = HttpClient(self.loop, stream)
+        self._http_clients.append(client)
+        return client
+
+    def _api_call(self, json_body: dict, on_ok, kind: str) -> None:
+        """Issue one API request; with a fault plan active, walk the
+        shared retry policy on 5xx and degrade gracefully (a recorded
+        fault event) when the budget runs out."""
+        request = HttpRequest("POST", "/api/v2/apiRequest", json_body=json_body)
+        plan = self.setup.faults
+        if plan is None:
+            self._api_client.request(request, on_ok)
+            return
+        schedule = RetrySchedule(
+            plan.retry, rng=self._api_retry_rng, started_at=self.loop.now
+        )
+        self._send_api_request(request, schedule, on_ok, kind)
+
+    def _send_api_request(self, request: HttpRequest, schedule: RetrySchedule,
+                          on_ok, kind: str) -> None:
+        # A fresh partial per attempt: a retry that referred to its own
+        # callback would leave a reference cycle behind.
+        self._api_client.request(request, functools.partial(
+            self._on_api_response, request, schedule, on_ok, kind))
+
+    def _on_api_response(self, request: HttpRequest, schedule: RetrySchedule,
+                         on_ok, kind: str, response: HttpResponse,
+                         now: float) -> None:
+        if response.status != HttpStatus.OK:
+            delay = schedule.next_delay(now)
+            if delay is None:
+                self._fault_events.append(f"api-gave-up:{kind}")
+                return
+            self._api_retries += 1
+            tel = obs.active()
+            if tel.enabled and tel.metrics_on:
+                tel.metrics.counter(
+                    "retries_total", "Client retry attempts",
+                    kind="session-api",
+                ).inc()
+            if tel.enabled and tel.causes_on:
+                tel.causes.add("api.retry_backoff", delay)
+            self.loop.schedule(delay, functools.partial(
+                self._send_api_request, request, schedule, on_ok, kind))
+            return
+        on_ok(response, now)
+
     # --------------------------------------------------------------- protocols
 
     def _begin_media(self, now: float) -> None:
@@ -375,7 +421,6 @@ class ViewingSession:
 
     def _setup_rtmp(self, driver: LiveSourceDriver) -> None:
         setup = self.setup
-        down_fwd, down_rev = self.testbed.server_paths("media")
         player = RtmpPlayer(
             self.loop,
             broadcast_start=-setup.age_at_join,
@@ -392,14 +437,12 @@ class ViewingSession:
                 return
             player.on_message(message, now)
 
-        down_conn = Connection(
-            self.loop, down_fwd, down_rev, on_message=client_side,
+        down_conn = self.testbed.connect(
+            "media", "desktop", "phone", on_message=client_side,
             name="rtmp-down",
         )
-        up_fwd = self.testbed.net.path("phone", "desktop", "media")
-        up_rev = self.testbed.net.path("media", "desktop", "phone")
-        self._rtmp_up = Connection(
-            self.loop, up_fwd, up_rev, on_message=self._rtmp_server_side,
+        self._rtmp_up = self.testbed.connect(
+            "phone", "desktop", "media", on_message=self._rtmp_server_side,
             name="rtmp-up",
         )
         self._rtmp_push = RtmpPushSession(down_conn)
@@ -500,8 +543,8 @@ class ViewingSession:
             }
         player = HlsPlayer(
             self.loop,
-            playlist_client=HttpClient(self.loop, playlist_stream),
-            segment_client=HttpClient(self.loop, segment_stream),
+            playlist_client=self._http_client(playlist_stream),
+            segment_client=self._http_client(segment_stream),
             playlist_path=f"/{setup.broadcast.broadcast_id}/playlist.m3u8",
             broadcast_start=-setup.age_at_join,
             capture_clock_error_s=self._capture_clock_error,

@@ -11,9 +11,10 @@ delay reflects geography.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.faults.plan import FaultPlan
+from repro.netsim.connection import Connection, Message
 from repro.netsim.duplex import DuplexStream
 from repro.netsim.events import EventLoop
 from repro.netsim.link import TokenBucketShaper
@@ -67,6 +68,9 @@ class SessionTestbed:
         self.phone = self.net.host("phone")
         self.desktop = self.net.host("desktop")
         self._server_locations: Dict[str, GeoPoint] = {}
+        #: Everything built over the topology, closed by :meth:`close`.
+        self._streams: List[DuplexStream] = []
+        self._connections: List[Connection] = []
         # The tether: shaping applies desktop -> phone (download).
         self.net.duplex(
             self.desktop,
@@ -111,10 +115,36 @@ class SessionTestbed:
         """A duplex stream phone <-> server through the desktop."""
         if server_name not in self._server_locations:
             raise KeyError(f"unknown server {server_name!r}")
-        return DuplexStream(
+        stream = DuplexStream(
             self.loop, self.net, "phone", "desktop", server_name,
             window_bytes=window_bytes, name=name or f"phone<->{server_name}",
         )
+        self._streams.append(stream)
+        return stream
+
+    def connect(self, *host_names: str,
+                on_message: Optional[Callable[[Message, float], None]] = None,
+                name: str = "") -> Connection:
+        """A one-way connection along the named hosts (data flows from
+        the first to the last; ACKs return the same way)."""
+        forward, reverse = self.net.duplex_paths(*host_names)
+        connection = Connection(self.loop, forward, reverse,
+                                on_message=on_message, name=name)
+        self._connections.append(connection)
+        return connection
+
+    def close(self) -> None:
+        """Tear the topology down once the session is over.
+
+        Stops the capture (its records stay readable), closes every
+        stream and connection built here, and unwires hosts and links,
+        breaking the reference cycles among them."""
+        self.capture.stop()
+        for stream in self._streams:
+            stream.close()
+        for connection in self._connections:
+            connection.close()
+        self.net.close()
 
     def server_paths(self, server_name: str):
         """(server->phone, phone->server) paths for raw connections."""

@@ -44,8 +44,10 @@ class AacEncoderModel:
         self._rng = rng
         self._index = 0
 
-    def generate(self, duration_s: float) -> Iterator[AudioFrame]:
-        """Yield the audio frames covering ``duration_s`` seconds."""
+    def generate(self, duration_s: float,
+                 offset: float = 0.0) -> Iterator[AudioFrame]:
+        """Yield the audio frames covering ``duration_s`` seconds, with
+        ``pts`` shifted ``offset`` seconds into the media timeline."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         mean_bytes = self.nominal_bps * FRAME_DURATION_S / 8.0
@@ -53,7 +55,7 @@ class AacEncoderModel:
         while pts < duration_s:
             size = self._rng.gauss(mean_bytes, mean_bytes * self.vbr_spread)
             nbytes = max(8, int(round(size)))
-            yield AudioFrame(index=self._index, pts=pts, nbytes=nbytes)
+            yield AudioFrame(index=self._index, pts=pts + offset, nbytes=nbytes)
             self._index += 1
             pts += FRAME_DURATION_S
 

@@ -199,9 +199,15 @@ class VideoEncoder:
         decode.extend((pts, "P") for pts, _ in pending_b)
         return decode
 
-    def generate(self, duration_s: float) -> Iterator[EncodedFrame]:
+    def generate(self, duration_s: float,
+                 offset: float = 0.0) -> Iterator[EncodedFrame]:
         """Yield the frames of ``duration_s`` seconds of broadcast, in
-        decode order."""
+        decode order.
+
+        ``offset`` places the frames at that many seconds into the
+        broadcast's media timeline: ``pts``, ``dts`` and the embedded
+        NTP timestamp are shifted by it (the encoder's own schedule,
+        RNG draws and rate control do not depend on it)."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         display = self._display_schedule(duration_s)
@@ -223,13 +229,13 @@ class VideoEncoder:
             send_clock = max(send_clock, pts)
             frame = EncodedFrame(
                 index=self._frame_index,
-                pts=pts,
-                dts=send_clock,
+                pts=pts + offset,
+                dts=send_clock + offset,
                 frame_type=frame_type,
                 nbytes=nbytes,
                 qp=qp,
                 complexity=complexity,
-                ntp_timestamp=ntp,
+                ntp_timestamp=None if ntp is None else ntp + offset,
             )
             self._frame_index += 1
             self._frames_encoded += 1

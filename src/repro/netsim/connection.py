@@ -253,13 +253,19 @@ class Connection:
     # ----------------------------------------------------------------- admin
 
     def close(self) -> None:
-        """Tear down the connection; queued data is discarded."""
+        """Tear down the connection; queued data is discarded.
+
+        A closed connection delivers nothing more, so it also drops its
+        ``on_message`` handler and its fast-path lane: both usually
+        refer back to the connection's owner."""
         if self.closed:
             return
         self.closed = True
         self._send_queue.clear()
         self.forward.uninstall(self.flow_id)
         self.reverse.uninstall(self.flow_id)
+        self.on_message = None
+        self._lane = None
 
     @property
     def backlog_bytes(self) -> int:

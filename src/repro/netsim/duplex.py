@@ -80,9 +80,10 @@ class DuplexStream:
         return self._b_to_a.send(message)
 
     def close(self) -> None:
-        """Tear down both directions."""
+        """Tear down both directions and drop the endpoint handlers."""
         self._a_to_b.close()
         self._b_to_a.close()
+        self.on_at_a = self.on_at_b = None
 
     @property
     def closed(self) -> bool:

@@ -11,13 +11,21 @@ profiling hooks: when :mod:`repro.obs` telemetry is active at
 construction time, every fired callback is attributed to a named
 callback site with its wall-time cost.  Profiling only observes — it
 never reorders events or consumes RNG.
+
+A long, precomputed run of callbacks (a broadcast's media timeline) can
+be fed through one queue slot with :meth:`EventLoop.schedule_series`
+instead of one queued event per item; the firing order is that of the
+per-item schedule.  :meth:`EventLoop.close` drops everything still
+queued, so a finished simulation holds no reference cycles through its
+loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs
 
@@ -52,6 +60,76 @@ class Event:
         loop, self._loop = self._loop, None
         if loop is not None:
             loop._live -= 1
+
+
+class EventSeries:
+    """A time-sorted run of callbacks fed through one queue slot.
+
+    Built by :meth:`EventLoop.schedule_series`.  At most one queue entry
+    exists for the whole series: firing item ``i`` re-arms the slot for
+    item ``i + 1`` (before running item ``i``, so the queue holds what
+    the per-item schedule would hold at that point) and then calls
+    ``fire(entry)``.  The series lets go of each entry as it fires it.
+
+    The slot's callback is this series' bound method, so the slot and
+    the series refer to each other only while the slot is queued; the
+    last item, :meth:`cancel` and :meth:`EventLoop.close` each leave
+    the slot with no callback, and no cycle.
+    """
+
+    __slots__ = ("_loop", "_event", "_entries", "_fire", "_origin", "_seq0",
+                 "_index")
+
+    def __init__(self, loop: "EventLoop", entries: List[Tuple[Any, ...]],
+                 fire: Callable[[Tuple[Any, ...]], None], seq0: int) -> None:
+        self._loop = loop
+        self._entries = entries
+        self._fire: Optional[Callable[[Tuple[Any, ...]], None]] = fire
+        self._origin = loop._now
+        self._seq0 = seq0
+        self._index = 0
+        self._event: Optional[Event] = None
+        if entries:
+            # Exactly the float schedule_at(t) computes: now + (t - now).
+            time = self._origin + (entries[0][0] - self._origin)
+            self._event = Event(time, seq0, self._fire_next, loop=loop)
+            heapq.heappush(loop._queue, (time, seq0, self._event))
+
+    def _fire_next(self) -> None:
+        entries = self._entries
+        index = self._index
+        entry = entries[index]
+        entries[index] = None
+        index += 1
+        self._index = index
+        fire = self._fire
+        if index < len(entries):
+            # step() reads the slot's time into ``now`` when it pops it.
+            origin = self._origin
+            event = self._event
+            event.time = time = origin + (entries[index][0] - origin)
+            event.seq = seq = self._seq0 + index
+            event.callback = self._fire_next
+            event._loop = loop = self._loop
+            heapq.heappush(loop._queue, (time, seq, event))
+        else:
+            # Exhausted: hold on to nothing that could close a cycle.
+            self._event = self._fire = None
+        fire(entry)
+
+    def cancel(self) -> None:
+        """Drop every item not fired yet (idempotent)."""
+        event, self._event = self._event, None
+        if event is not None:
+            loop = event._loop
+            if loop is not None:
+                # The slot stands for every remaining item in ``_live``;
+                # Event.cancel() takes back one of them.
+                loop._live -= len(self._entries) - self._index - 1
+            event.cancel()
+        self._entries = []
+        self._index = 0
+        self._fire = None
 
 
 class EventLoop:
@@ -105,6 +183,39 @@ class EventLoop:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
         return self.schedule(time - self._now, callback)
+
+    def schedule_series(self, entries: List[Tuple[Any, ...]],
+                        fire: Callable[[Tuple[Any, ...]], None]) -> EventSeries:
+        """Schedule ``fire(entry)`` at time ``entry[0]`` for every entry.
+
+        ``entries`` must be sorted by time.  Fires in exactly the order,
+        and at exactly the times, of ``schedule_at(entry[0], ...)``
+        called once per entry in list order: the series takes one
+        contiguous block of sequence numbers, so ties among its items
+        and with every other event break as they would per item, and
+        ``pending()`` counts each unfired item.  The series owns the
+        list and clears each slot as it fires.
+        """
+        n = len(entries)
+        if not n:
+            return EventSeries(self, entries, fire, 0)
+        now = self._now
+        # Written so that a NaN anywhere fails a comparison.
+        if not (0.0 <= entries[0][0] - now and entries[-1][0] - now < _INF
+                and all(a[0] <= b[0] for a, b in zip(entries, entries[1:]))):
+            raise ValueError(
+                "series times must be sorted, finite and not in the past")
+        seq0 = next(self._seq)
+        # Take the rest of the block; consumed in C, as itertools.count
+        # cannot jump ahead.
+        deque(itertools.islice(self._seq, n - 1), maxlen=0)
+        series = EventSeries(self, entries, fire, seq0)
+        self._live += n
+        if self._live > self.queue_depth_high_water:
+            self.queue_depth_high_water = self._live
+            if self.profiler is not None:
+                self.profiler.note_queue_depth(self._live)
+        return series
 
     def _pop_next(self) -> Optional[Event]:
         while self._queue:
@@ -198,3 +309,20 @@ class EventLoop:
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""
         return self._live
+
+    def close(self) -> None:
+        """Drop every queued event and the fast-path engine.
+
+        Nothing pending fires afterwards.  Callbacks usually close over
+        the objects that scheduled them, which are reachable from the
+        loop again; dropping them is what lets a finished simulation be
+        freed by reference counting.  ``now`` and ``events_processed``
+        keep their values."""
+        queue, self._queue = self._queue, []
+        for _, _, event in queue:
+            event.callback = None
+            event._loop = None
+        self._live = 0
+        fast, self._fast = self._fast, None
+        if fast is not None:
+            fast.active.clear()

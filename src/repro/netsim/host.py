@@ -57,6 +57,12 @@ class Host:
             self._handlers.pop((flow_id, ack), None)
             self._routes.pop((flow_id, ack), None)
 
+    def close(self) -> None:
+        """Drop all per-flow state and the links terminated here."""
+        self._handlers.clear()
+        self._routes.clear()
+        self.incoming.clear()
+
     def receive(self, packet: Packet) -> None:
         """Handle an arriving packet: local delivery, forward, or drop."""
         key = (packet.flow_id, packet.is_ack)

@@ -97,7 +97,8 @@ class Link:
         #: Idle intervals inside the busy horizon: a shaper or impairment
         #: deferral leaves the wire silent between the previous packet's
         #: end and the deferred start, yet ``_busy_until`` spans the gap.
-        #: Gaps wholly in the past are pruned as they expire.
+        #: Gaps wholly in the past are pruned whenever a gap is added or
+        #: pending work is measured.
         self._gaps: Deque[Tuple[float, float]] = deque()
         #: Running sum of the lengths of the gaps in ``_gaps``, so the
         #: per-packet health check can bound pending work in O(1).
@@ -140,6 +141,17 @@ class Link:
         index = self._taps.index(observer)
         del self._taps[index]
         del self._segment_taps[index]
+
+    def close(self) -> None:
+        """Drop the downstream sink, the tap observers and the metric
+        children.  A link and its receiving host refer to each other,
+        so a finished topology is only freed by reference counting once
+        its links are closed.  Counters (``bytes_carried``...) stay."""
+        self.deliver = None
+        self._taps.clear()
+        self._segment_taps.clear()
+        if self._metrics_ref is not None:
+            self._drop_metrics(self._metrics_ref)
 
     def _prune_gaps(self, now: float) -> None:
         """Drop the gaps that ended by ``now``, keeping ``_gap_total``
@@ -275,6 +287,11 @@ class Link:
             # was, above) rather than re-charged to link.queue.
             self._gaps.append((eligible, start))
             self._gap_total += start - eligible
+            # Pruned here too, or the deque only grows with health off.
+            # A health check at this ``now`` prunes the same gaps, after
+            # the same append, so ``_gap_total`` sees the same float ops.
+            if self._gaps[0][1] <= now:
+                self._prune_gaps(now)
             if self._queue_charged_until < start:
                 self._queue_charged_until = start
         busy = start + tx_time

@@ -82,6 +82,15 @@ class Network:
         self._adjacent[(b.name, a.name)] = duplex
         return duplex
 
+    def close(self) -> None:
+        """Unwire every host and link (see :meth:`Link.close`); the
+        links keep their counters."""
+        for host in self.hosts.values():
+            host.close()
+        for duplex in self._adjacent.values():
+            duplex.a_to_b.close()
+            duplex.b_to_a.close()
+
     def link_between(self, src: Host, dst: Host) -> Link:
         """The directional link carrying packets from ``src`` to ``dst``."""
         duplex = self._adjacent.get((src.name, dst.name))

@@ -206,3 +206,38 @@ class TraceCapture:
 
     def __len__(self) -> int:
         return len(self._records) + len(self._log) // _STRIDE
+
+
+def canonical_trace(capture: TraceCapture) -> List[str]:
+    """Render a capture as stable text lines, one per record, in capture
+    order: what the fast-path identity tests and the benchmark's trace
+    gate compare.
+
+    Flow and message ids come from process-global counters, so they are
+    normalized to first-appearance indices; ``_``-prefixed annotations
+    carry live objects and are skipped.
+    """
+    flow_index: Dict[int, int] = {}
+    message_index: Dict[int, int] = {}
+    lines = []
+    for record in capture.records:
+        flow = flow_index.setdefault(record.flow_id, len(flow_index))
+        if record.message_id < 0:
+            message = -1
+        else:
+            message = message_index.setdefault(
+                record.message_id, len(message_index))
+        annotations = ",".join(
+            f"{key}={value!r}"
+            for key, value in record.annotations
+            if not key.startswith("_")
+            and isinstance(value, (str, int, float, bool, type(None)))
+        )
+        lines.append(
+            f"{record.timestamp:.9f} {record.direction} flow={flow} "
+            f"seq={record.seq} bytes={record.payload_bytes}/{record.wire_bytes} "
+            f"ack={int(record.is_ack)} "
+            f"msg={message}:{record.message_offset}:{record.message_total} "
+            f"[{annotations}]"
+        )
+    return lines

@@ -306,6 +306,9 @@ class PlayoutBuffer:
         if self._stall_event is not None:
             self._stall_event.cancel()
             self._stall_event = None
+        # No arrival is metered after this; the weak reference's
+        # callback would otherwise tie the buffer into a cycle.
+        self._metrics_ref = self._level_metric = None
         watch = end_time - self.session_start
         telemetry = obs.active()
         if self._started_at is None:

@@ -9,6 +9,7 @@ broadcaster uplink glitches that HLS's segment-sized buffer absorbs.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, List, Optional, Union
 
@@ -111,40 +112,46 @@ class RtmpPlayer:
                 kind="rtmp-disconnect",
             ).inc()
         schedule = RetrySchedule(policy, rng=rng, started_at=self.loop.now)
-
-        def attempt() -> None:
-            now = self.loop.now
-            self.reconnect_attempts += 1
-            tel = obs.active()
-            if tel.enabled and tel.metrics_on:
-                tel.metrics.counter(
-                    "retries_total", "Client retry attempts",
-                    kind="rtmp-reconnect",
-                ).inc()
-            if probe(now):
-                self.reconnects += 1
-                if tel.enabled and tel.metrics_on:
-                    tel.metrics.counter(
-                        "reconnects_total", "Successful stream reconnects",
-                        protocol="rtmp",
-                    ).inc()
-                on_restored(now)
-                return
-            delay = schedule.next_delay(now)
-            if delay is None:
-                self.reconnect_gave_up = True
-                return
-            if tel.enabled and tel.causes_on:
-                tel.causes.add("transport.retry_backoff", delay)
-            self.loop.schedule(delay, attempt)
-
         first = schedule.next_delay(self.loop.now)
         if first is None:
             self.reconnect_gave_up = True
             return
         if telemetry.enabled and telemetry.causes_on:
             telemetry.causes.add("transport.retry_backoff", first)
-        self.loop.schedule(first, attempt)
+        self.loop.schedule(first, functools.partial(
+            self._reconnect_attempt, schedule, probe, on_restored))
+
+    def _reconnect_attempt(self, schedule: RetrySchedule,
+                           probe: Callable[[float], bool],
+                           on_restored: Callable[[float], None]) -> None:
+        """One reconnect attempt of :meth:`begin_reconnect`.  A retry is
+        scheduled as a fresh partial, never as a closure that refers to
+        itself, so no reference cycle is left behind."""
+        now = self.loop.now
+        self.reconnect_attempts += 1
+        tel = obs.active()
+        if tel.enabled and tel.metrics_on:
+            tel.metrics.counter(
+                "retries_total", "Client retry attempts",
+                kind="rtmp-reconnect",
+            ).inc()
+        if probe(now):
+            self.reconnects += 1
+            if tel.enabled and tel.metrics_on:
+                tel.metrics.counter(
+                    "reconnects_total", "Successful stream reconnects",
+                    protocol="rtmp",
+                ).inc()
+            on_restored(now)
+            return
+        delay = schedule.next_delay(now)
+        if delay is None:
+            self.reconnect_gave_up = True
+            return
+        if tel.enabled and tel.causes_on:
+            tel.causes.add("transport.retry_backoff", delay)
+        self.loop.schedule(delay, functools.partial(
+            self._reconnect_attempt, schedule, probe, on_restored))
 
     # ------------------------------------------------------------- reporting
 

@@ -236,6 +236,11 @@ class HttpClient:
         if callback is not None:
             callback(response, now)
 
+    def close(self) -> None:
+        """Forget every outstanding request and its callback."""
+        self._pending.clear()
+        self._inflight_meta.clear()
+
     @property
     def outstanding(self) -> int:
         """Requests awaiting a response."""

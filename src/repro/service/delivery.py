@@ -29,7 +29,7 @@ from repro.media.content import ContentProcess
 from repro.media.encoder import EncoderSettings, VideoEncoder
 from repro.media.frames import AudioFrame, EncodedFrame
 from repro.media.segmenter import HlsSegment, HlsSegmenter
-from repro.netsim.events import EventLoop
+from repro.netsim.events import EventLoop, EventSeries
 from repro.protocols.hls import LiveWindow, MediaPlaylist
 from repro.protocols.http import HttpRequest, HttpResponse, HttpStatus
 from repro.protocols.rtmp import RtmpPushSession
@@ -164,6 +164,8 @@ class LiveSourceDriver:
         self.generate_from = max(0.0, start)
         self._sinks: List[FrameSink] = []
         self._prepared = False
+        #: Ingest arrivals still to come, once :meth:`start` ran.
+        self._arrivals: Optional[EventSeries] = None
         #: Frames whose ingest arrival predates the join (history).
         self.history: List[Tuple[float, MediaFrame]] = []
 
@@ -174,7 +176,12 @@ class LiveSourceDriver:
     # ---------------------------------------------------------------- driving
 
     def start(self) -> None:
-        """Generate the media timeline and schedule ingest arrivals."""
+        """Generate the media timeline and schedule ingest arrivals.
+
+        Each frame is built once, on the broadcast's media timeline.
+        Arrivals up to now become :attr:`history`; the rest are fed to
+        the sinks through one :class:`~repro.netsim.events.EventSeries`,
+        which releases each frame once it has been emitted."""
         if self._prepared:
             raise RuntimeError("driver already started")
         self._prepared = True
@@ -186,46 +193,47 @@ class LiveSourceDriver:
         outages = self.uplink.outage_schedule(
             self._rng, self.broadcast_start, total_media + 10.0
         )
+        arrival_with_defer = self.uplink.arrival_with_defer
+        rng = self._rng
+        broadcast_start = self.broadcast_start
+        offset = self.generate_from
 
-        events: List[Tuple[float, MediaFrame, float]] = []
-        for frame in self.encoder.generate(duration):
-            shifted = _shift_video(frame, self.generate_from)
-            capture = self.broadcast_start + shifted.dts
-            arrival, defer = self.uplink.arrival_with_defer(
-                capture, self._rng, outages
+        entries: List[Tuple[float, MediaFrame, float]] = []
+        for frame in self.encoder.generate(duration, offset=offset):
+            arrival, defer = arrival_with_defer(
+                broadcast_start + frame.dts, rng, outages
             )
-            events.append((arrival, shifted, defer))
+            entries.append((arrival, frame, defer))
 
-        bundle_bound = self.generate_from
-        for frame in self.audio.generate(duration):
-            shifted = AudioFrame(
-                index=frame.index, pts=frame.pts + self.generate_from, nbytes=frame.nbytes
-            )
-            capture = self.broadcast_start + shifted.pts
+        bundle_s = self.AUDIO_BUNDLE_S
+        for frame in self.audio.generate(duration, offset=offset):
             # Audio is bundled: all frames of a bundle arrive when the
             # bundle closes.
-            bundle_close = (
-                math.floor(shifted.pts / self.AUDIO_BUNDLE_S) + 1
-            ) * self.AUDIO_BUNDLE_S
-            capture_close = self.broadcast_start + bundle_close
-            arrival, defer = self.uplink.arrival_with_defer(
-                capture_close, self._rng, outages
+            bundle_close = (math.floor(frame.pts / bundle_s) + 1) * bundle_s
+            arrival, defer = arrival_with_defer(
+                broadcast_start + bundle_close, rng, outages
             )
-            events.append((arrival, shifted, defer))
+            entries.append((arrival, frame, defer))
 
-        events.sort(key=lambda e: e[0])
-        for arrival, frame, defer in events:
-            if arrival <= self.loop.now:
-                self.history.append((arrival, frame))
-            else:
-                self.loop.schedule_at(
-                    arrival,
-                    lambda f=frame, a=arrival, d=defer: self._emit(f, a, d),
-                )
+        entries.sort(key=lambda e: e[0])
+        now = self.loop.now
+        split = 0
+        for arrival, frame, _defer in entries:
+            if arrival > now:
+                break
+            self.history.append((arrival, frame))
+            split += 1
+        self._arrivals = self.loop.schedule_series(entries[split:], self._emit)
 
-    def _emit(
-        self, frame: MediaFrame, arrival: float, outage_defer: float = 0.0
-    ) -> None:
+    def close(self) -> None:
+        """Stop driving: drop the sinks and every frame not emitted yet."""
+        self._sinks.clear()
+        if self._arrivals is not None:
+            self._arrivals.cancel()
+            self._arrivals = None
+
+    def _emit(self, entry: Tuple[float, MediaFrame, float]) -> None:
+        arrival, frame, outage_defer = entry
         if outage_defer > 0.0:
             # Attributed here, inside the already-scheduled arrival
             # callback, so attribution adds no events to the loop.
@@ -234,24 +242,6 @@ class LiveSourceDriver:
                 telemetry.causes.add("uplink.outage", outage_defer)
         for sink in self._sinks:
             sink(frame, arrival)
-
-
-def _shift_video(frame: EncodedFrame, offset: float) -> EncodedFrame:
-    """Rebase a freshly encoded frame onto the broadcast's media timeline."""
-    if offset == 0.0:
-        return frame
-    return EncodedFrame(
-        index=frame.index,
-        pts=frame.pts + offset,
-        dts=frame.dts + offset,
-        frame_type=frame.frame_type,
-        nbytes=frame.nbytes,
-        qp=frame.qp,
-        complexity=frame.complexity,
-        ntp_timestamp=(
-            frame.ntp_timestamp + offset if frame.ntp_timestamp is not None else None
-        ),
-    )
 
 
 class RtmpDelivery:

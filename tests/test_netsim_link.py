@@ -242,6 +242,30 @@ class TestDeferralGapAccounting:
         assert not link._gaps
 
 
+def test_gaps_stay_bounded_with_health_off():
+    """Regression: only the health check pruned expired deferral gaps,
+    so with health off a shaped link kept every gap of the run (11,141
+    on one 2 Mbps session).  Expired gaps are now pruned as new ones are
+    added, with the same running total and the same utilization."""
+    loop = EventLoop()
+    link = Link(loop, rate_bps=8_000.0, delay_s=0.0,
+                shaper=TokenBucketShaper(rate_bps=800.0, bucket_bytes=100))
+    link.deliver = lambda p: None
+    for burst in range(200):
+        # Two 100-wire-byte packets per 2 s: the second waits 0.9 s on
+        # tokens, leaving an idle gap that has expired by the next burst.
+        loop.run_until(2.0 * burst)
+        link.send(make_packet(nbytes=100 - HEADER_BYTES, seq=2 * burst))
+        link.send(make_packet(nbytes=100 - HEADER_BYTES, seq=2 * burst + 1))
+        assert len(link._gaps) <= 1
+    assert link._gap_total == pytest.approx(
+        sum(end - start for start, end in link._gaps), abs=GAP_TOTAL_TOL)
+    loop.run_until(2.0 * 199 + 0.5)
+    # 399 packets done (0.1 s each), the last one still 0.5 s from done.
+    assert link.utilization_until_now() == pytest.approx(
+        399 * 0.1 / loop.now)
+
+
 # ---------------------------------------- O(1) utilization health check
 
 #: The running gap total is a float sum of appends and prunes; it must

@@ -11,6 +11,7 @@ import pytest
 from repro.netsim.duplex import DuplexStream
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import Network
+from repro.netsim.trace import canonical_trace as _canonical_trace
 from repro.player.hls_player import HlsPlayer
 from repro.protocols.http import HttpClient, HttpRequest, HttpServer, HttpStatus
 from repro.service.broadcast import sample_broadcast
@@ -117,40 +118,6 @@ def _run_golden_session():
         faults=FaultPlan.parse(GOLDEN_FAULTS),
     )
     return ViewingSession(setup).run()
-
-
-def _canonical_trace(capture):
-    """Render the capture as stable text lines.
-
-    Flow and message ids come from process-global counters, so they are
-    normalized to first-appearance indices; ``_``-prefixed annotations
-    carry live objects and are skipped.
-    """
-    flow_index = {}
-    message_index = {}
-    lines = []
-    for record in capture.records:
-        flow = flow_index.setdefault(record.flow_id, len(flow_index))
-        if record.message_id < 0:
-            message = -1
-        else:
-            message = message_index.setdefault(
-                record.message_id, len(message_index)
-            )
-        annotations = ",".join(
-            f"{key}={value!r}"
-            for key, value in record.annotations
-            if not key.startswith("_")
-            and isinstance(value, (str, int, float, bool, type(None)))
-        )
-        lines.append(
-            f"{record.timestamp:.9f} {record.direction} flow={flow} "
-            f"seq={record.seq} bytes={record.payload_bytes}/{record.wire_bytes} "
-            f"ack={int(record.is_ack)} "
-            f"msg={message}:{record.message_offset}:{record.message_total} "
-            f"[{annotations}]"
-        )
-    return lines
 
 
 def _trace_summary(lines):

@@ -1,6 +1,7 @@
 """Tests for the live source driver, RTMP delivery and the HLS origin."""
 
 import random
+import weakref
 
 import pytest
 
@@ -107,6 +108,62 @@ class TestLiveSourceDriver:
     def test_negative_age_rejected(self):
         with pytest.raises(ValueError):
             LiveSourceDriver(EventLoop(), make_broadcast(), age_at_join=-1.0, horizon_s=5.0)
+
+    def test_emitted_frames_are_released(self):
+        # The driver hands each frame to its sinks once and keeps no
+        # reference to it afterwards; only unemitted frames stay queued.
+        loop = EventLoop()
+        driver = LiveSourceDriver(loop, make_broadcast(), age_at_join=10.0,
+                                  horizon_s=6.0, generate_from=7.0)
+        emitted = []
+        driver.add_sink(lambda f, t: emitted.append(weakref.ref(f)))
+        driver.start()
+        queued = loop.pending()
+        loop.run_until(3.0)
+        assert emitted and len(emitted) + loop.pending() == queued
+        assert all(ref() is None for ref in emitted)
+        count = len(emitted)
+        driver.close()
+        assert loop.pending() == 0
+        loop.run()
+        assert len(emitted) == count
+
+    def test_frames_are_built_on_the_media_timeline(self):
+        # One frame per encoder output, already shifted by the history
+        # offset: pts, dts and the NTP stamp all move by the offset.
+        from repro.media.encoder import EncoderSettings, VideoEncoder
+        from repro.media.content import ContentProcess
+        from repro.util.rng import child_rng
+
+        broadcast = make_broadcast()
+        loop = EventLoop()
+        driver = LiveSourceDriver(loop, broadcast, age_at_join=10.0,
+                                  horizon_s=4.0, generate_from=6.0)
+        frames = []
+        driver.add_sink(lambda f, t: frames.append(f))
+        driver.start()
+        loop.run()
+        video = sorted((f for _, f in driver.history), key=lambda f: f.index)
+        video += frames
+        video = sorted((f for f in video if isinstance(f, EncodedFrame)),
+                       key=lambda f: f.index)
+        encoder = VideoEncoder(
+            EncoderSettings(target_bps=broadcast.target_bitrate_bps,
+                            gop=broadcast.gop),
+            ContentProcess(broadcast.content_profile,
+                           child_rng(broadcast.seed, "content")),
+            child_rng(broadcast.seed, "encoder"),
+            wallclock_start=-10.0,
+        )
+        reference = encoder.encode_all(8.0)
+        assert len(video) == len(reference)
+        for frame, plain in zip(video, reference):
+            assert frame.pts == plain.pts + 6.0
+            assert frame.dts == plain.dts + 6.0
+            if plain.ntp_timestamp is None:
+                assert frame.ntp_timestamp is None
+            else:
+                assert frame.ntp_timestamp == plain.ntp_timestamp + 6.0
 
 
 class TestRtmpDelivery:
